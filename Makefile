@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-slow test-cov compile lint ci ci-golden check-regression \
 	bench bench-smoke bench-overload bench-fault-storm bench-chaos \
-	bench-throughput bench-observability bench-population regen-golden \
+	bench-throughput bench-observability bench-population bench-paper regen-golden \
 	docs docs-cli workload workflow population
 
 ## tier-1 test suite (slow-marked tests are deselected; see test-slow)
@@ -70,11 +70,16 @@ docs: docs-cli
 
 ## what CI runs — the workflow invokes these same targets, one per step,
 ## in this order, so local `make ci` and CI can never drift
-ci: compile lint test-cov test-slow bench-smoke bench-overload bench-fault-storm bench-chaos bench-throughput bench-observability check-regression ci-golden docs
+ci: compile lint test-cov test-slow bench-paper bench-smoke bench-overload bench-fault-storm bench-chaos bench-throughput bench-observability check-regression ci-golden docs
 
 ## regenerate all paper figures/tables (pytest-benchmark harness)
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s
+
+## paper-claims tier: every figure/table bench regenerates its result and
+## asserts the paper's qualitative finding (cost, storage, eviction, ...)
+bench-paper:
+	$(PYTHON) -m pytest benchmarks/bench_fig*.py benchmarks/bench_table*.py -q
 
 ## fast scheduler-regression gate: 10k replay + workflow + sharded +
 ## overloaded equivalence checks under a time budget (emits BENCH_smoke.json)

@@ -13,9 +13,14 @@ already exploits for its tag blocks, and which
 
 The fifth stream — *compute* — interleaves lognormal, uniform, exponential
 and normal draws data-dependently (jitter, storage contention, cold-start
-erratic delays, memory noise), so batching it would permute bit-stream
-consumption.  It stays scalar; the columnar engine merely inlines the
-arithmetic around it.
+erratic delays, memory noise), so pre-drawing it in blocks would permute
+bit-stream consumption.  Within one invocation, though, the storage
+transfers are consecutive constant-parameter lognormals: both engines draw
+them as one ``Generator.lognormal(mean, sigma, n)`` call
+(:meth:`repro.storage.latency.StorageLatencyModel.invocation_time`), which
+is the same fact again at batch size ``n``.  Only the mixed-distribution
+remainder stays scalar; the columnar engine merely inlines the arithmetic
+around it.
 
 Each block object *wraps* the live generator of a function's runtime state
 and replaces it in place (``state.gateway_stream``, ``state.network._rng``,

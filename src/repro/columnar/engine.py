@@ -15,8 +15,10 @@ streams in exactly the scalar order:
 
 1. eviction-policy apply (own per-pool stream, delegated to the policy);
 2. spurious cold-start uniform (only when the provider's probability > 0);
-3. compute stream — jitter lognormal, contention uniform, per-transfer
-   storage lognormals, cold-init draws (delegated to
+3. compute stream — jitter lognormal, contention uniform, the
+   invocation's storage-transfer lognormals as **one** vectorized draw
+   (:meth:`~repro.storage.latency.StorageLatencyModel.invocation_time`,
+   shared with the scalar engine), cold-init draws (delegated to
    :meth:`~repro.simulator.compute.ComputeModel.cold_init_time` — the cold
    path is rare and data-dependent), memory normal;
 4. reliability stream — sporadic-OOM uniform (GCP, borderline lanes only),
@@ -25,8 +27,10 @@ streams in exactly the scalar order:
 6. network exponentials (request, then response).
 
 Streams 2, 4, 5 and 6 are served from the pre-drawn blocks installed by
-:func:`repro.columnar.draws.install_draw_blocks`; stream 3 is heterogeneous
-and stays scalar (see :mod:`repro.columnar.draws`).  Every float operation
+:func:`repro.columnar.draws.install_draw_blocks`.  Stream 3 is
+heterogeneous: one invocation's storage transfers are one size-``n`` draw,
+and only the mixed-distribution remainder stays scalar (see
+:mod:`repro.columnar.draws`).  Every float operation
 is replicated in the scalar path's evaluation order, so records, streaming
 summaries, provider logs, pool state and the clock are bit-identical — the
 differential tier in ``tests/test_columnar_equivalence.py`` asserts it.
@@ -134,24 +138,15 @@ class _Lane:
         "c_normal",
         # storage-model stream (the compute generator unless the platform
         # attached a dedicated one, e.g. IaaS cloud storage)
-        "sto_lognormal",
         "sto_random",
+        "sto_time",
         "compute_base",
         "jit_solo",
         "jit_conc",
         "cold_init_time",
         # storage
         "contention_p",
-        "contention_slowdown",
-        "read_on",
-        "read_requests",
-        "read_base",
-        "write_on",
-        "write_requests",
-        "write_base",
-        "s_jitter",
-        "s_mean",
-        "s_sigma",
+        "s_bases",
         # reliability
         "rel_take",
         "rel_dynamic",
@@ -252,9 +247,9 @@ def _build_lane(platform, fname: str) -> _Lane:
     rng = compute._rng
     lane.c_lognormal = rng.lognormal
     lane.c_normal = rng.normal
-    storage_rng = compute.storage_model._rng
-    lane.sto_lognormal = storage_rng.lognormal
-    lane.sto_random = storage_rng.random
+    storage_model = compute.storage_model
+    lane.sto_random = storage_model._rng.random
+    lane.sto_time = storage_model.invocation_time
     share = compute.cpu_share(memory_mb)
     lane.compute_base = profile.warm_compute_s * performance.compute_speed_factor / share
     lane.jit_solo = _jitter_params(performance.compute_jitter_cv)
@@ -263,32 +258,10 @@ def _build_lane(platform, fname: str) -> _Lane:
     )
     lane.cold_init_time = compute.cold_init_time
 
-    # Storage: per-transfer base latencies precomputed exactly as
-    # StorageLatencyModel.transfer_time computes them.  Read the profile off
-    # the live model — a platform may attach a non-default one (IaaS S3).
-    storage = compute.storage_model.profile
-    effective = compute.effective_memory(memory_mb)
-    bandwidth = compute.storage_model.bandwidth_mbps(effective) * 1024 * 1024
-    lane.contention_p = storage.contention_tail_probability
-    lane.contention_slowdown = storage.contention_slowdown
-    lane.read_on = profile.storage_read_bytes > 0 or profile.storage_read_requests > 0
-    lane.read_requests = max(1, profile.storage_read_requests)
-    lane.read_base = storage.base_latency_s + (
-        profile.storage_read_bytes // lane.read_requests
-    ) / bandwidth
-    lane.write_on = profile.storage_write_bytes > 0 or profile.storage_write_requests > 0
-    lane.write_requests = max(1, profile.storage_write_requests)
-    lane.write_base = storage.base_latency_s + (
-        profile.storage_write_bytes // lane.write_requests
-    ) / bandwidth
-    lane.s_jitter = storage.jitter_cv > 0
-    if lane.s_jitter:
-        s_sigma = float(np.sqrt(np.log(1.0 + storage.jitter_cv**2)))
-        lane.s_sigma = s_sigma
-        lane.s_mean = -(s_sigma**2) / 2.0
-    else:
-        lane.s_sigma = 0.0
-        lane.s_mean = 0.0
+    # Storage: the per-transfer bases (reads, then writes) of the live
+    # model — a platform may attach a non-default one (IaaS S3).
+    lane.contention_p = storage_model.profile.contention_tail_probability
+    lane.s_bases = storage_model.transfer_bases(profile, compute.effective_memory(memory_mb))
 
     # Reliability: thresholds and draw gates, mirroring ReliabilityModel.
     provider = platform.provider
@@ -636,39 +609,7 @@ def _replay(
             else:
                 compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
             contention = lane.sto_random() < lane.contention_p
-            storage_t = 0.0
-            if lane.read_on:
-                read_base = lane.read_base
-                if lane.s_jitter:
-                    s_mean = lane.s_mean
-                    s_sigma = lane.s_sigma
-                    for _ in range(lane.read_requests):
-                        duration = read_base * float(lane.sto_lognormal(s_mean, s_sigma))
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-                else:
-                    for _ in range(lane.read_requests):
-                        duration = read_base
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-            if lane.write_on:
-                write_base = lane.write_base
-                if lane.s_jitter:
-                    s_mean = lane.s_mean
-                    s_sigma = lane.s_sigma
-                    for _ in range(lane.write_requests):
-                        duration = write_base * float(lane.sto_lognormal(s_mean, s_sigma))
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
-                else:
-                    for _ in range(lane.write_requests):
-                        duration = write_base
-                        if contention:
-                            duration *= lane.contention_slowdown
-                        storage_t += duration
+            storage_t = lane.sto_time(lane.s_bases, contention) if lane.s_bases else 0.0
             benchmark_time = compute_t + storage_t
             if cold:
                 cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)

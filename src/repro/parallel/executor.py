@@ -379,8 +379,9 @@ def run_workload_sharded(
     identical to an uninterrupted run (``wall_clock_s`` aside, which is a
     measurement of *this* run).
 
-    ``wall_clock_s`` covers everything from snapshot capture through
-    planning, shard replay and the merge — both sharded entry points time
+    ``wall_clock_s`` (and so ``throughput_per_s``) covers everything from
+    snapshot capture through planning, shard replay and the merge (the
+    clock is read after the merge) — both sharded entry points time
     the same phases, so workload and workflow throughput figures compare
     like for like.
 
@@ -448,12 +449,12 @@ def run_workload_sharded(
     outcomes = list(outcomes) + list(preloaded.values())
     merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
     with merge_phase:
-        wall_clock_s = time.perf_counter() - wall_start
         result = merge_trace_outcomes(
-            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
+            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=0.0
         )
         if spec is not None:
             result.timeseries = _merge_shard_series(spec, outcomes)
+    result.wall_clock_s = time.perf_counter() - wall_start
     result.supervision = report
     if profiler is not None:
         result.profile = profiler.build(supervision=report)
@@ -484,7 +485,8 @@ def run_workflows_sharded(
     ``supervision`` / ``checkpoint_dir`` / ``resume`` / ``timeseries`` /
     ``profile`` behave exactly as in :func:`run_workload_sharded`.
     ``wall_clock_s`` starts before arrival materialisation and shard
-    planning — the same phases the workload entry point times.
+    planning and ends after the merge — the same phases the workload entry
+    point times.
     """
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
@@ -530,12 +532,12 @@ def run_workflows_sharded(
     outcomes = list(outcomes) + list(preloaded.values())
     merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
     with merge_phase:
-        wall_clock_s = time.perf_counter() - wall_start
         result = merge_workflow_outcomes(
-            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=wall_clock_s
+            platform.provider, outcomes, keep_records=keep_records, wall_clock_s=0.0
         )
         if spec is not None:
             result.timeseries = _merge_shard_series(spec, outcomes)
+    result.wall_clock_s = time.perf_counter() - wall_start
     result.supervision = report
     if profiler is not None:
         result.profile = profiler.build(supervision=report)

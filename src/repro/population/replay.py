@@ -375,7 +375,9 @@ def replay_population(
     :func:`~repro.parallel.executor.run_workload_sharded`; checkpointing is
     not offered (population shards carry live population objects, which the
     plan fingerprint machinery does not cover).  ``top_tenants`` bounds the
-    attribution list on the result.
+    attribution list on the result.  ``result.wall_clock_s`` (and so
+    ``throughput_per_s``) covers planning, shard replay, the merge and the
+    tenant attribution.
     """
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
@@ -406,11 +408,11 @@ def replay_population(
         )
     merge_phase = profiler.phase("merge") if profiler is not None else nullcontext()
     with merge_phase:
-        wall_clock_s = time.perf_counter() - wall_start
         result = merge_trace_outcomes(
-            platform.provider, outcomes, keep_records=False, wall_clock_s=wall_clock_s
+            platform.provider, outcomes, keep_records=False, wall_clock_s=0.0
         )
         spends = tenant_attribution(result, population, seed)
+    result.wall_clock_s = time.perf_counter() - wall_start
     result.supervision = report
     if profiler is not None:
         result.profile = profiler.build(supervision=report)

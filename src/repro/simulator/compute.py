@@ -101,22 +101,14 @@ class ComputeModel:
 
         A contention event (a co-located function saturating the server NIC)
         is drawn once per invocation and applied to every transfer, which is
-        what turns long, storage-heavy invocations into stragglers.
+        what turns long, storage-heavy invocations into stragglers.  The
+        transfers' jitters are then one vectorized draw (see
+        :meth:`~repro.storage.latency.StorageLatencyModel.invocation_time`).
         """
-        effective = self.effective_memory(memory_mb)
-        contention = self._storage_model.draw_contention()
-        total = 0.0
-        if profile.storage_read_bytes > 0 or profile.storage_read_requests > 0:
-            requests = max(1, profile.storage_read_requests)
-            per_request = profile.storage_read_bytes // requests
-            for _ in range(requests):
-                total += self._storage_model.transfer_time(per_request, effective, contention=contention)
-        if profile.storage_write_bytes > 0 or profile.storage_write_requests > 0:
-            requests = max(1, profile.storage_write_requests)
-            per_request = profile.storage_write_bytes // requests
-            for _ in range(requests):
-                total += self._storage_model.transfer_time(per_request, effective, contention=contention)
-        return total
+        storage = self._storage_model
+        contention = storage.draw_contention()
+        bases = storage.transfer_bases(profile, self.effective_memory(memory_mb))
+        return storage.invocation_time(bases, contention) if bases else 0.0
 
     def cold_init_time(self, profile: WorkProfile, memory_mb: int, code_package_mb: float) -> float:
         """Cold-start latency: provisioning + package fetch + runtime init."""

@@ -12,10 +12,14 @@ characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..benchmarks.base import WorkProfile
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,15 @@ class StorageLatencyModel:
     def __init__(self, profile: StorageProfile, rng: np.random.Generator):
         self._profile = profile
         self._rng = rng
+        # (mean, sigma) of the log-normal transfer jitter; None = no draw.
+        if profile.jitter_cv > 0:
+            sigma = np.sqrt(np.log(1.0 + profile.jitter_cv**2))
+            self._jitter: tuple[float, float] | None = (-sigma**2 / 2.0, sigma)
+        else:
+            self._jitter = None
+        # Per-invocation transfer bases keyed by traffic shape and memory
+        # (see transfer_bases); pure, so a warm cache changes no float.
+        self._bases_cache: dict[tuple[int, int, int, int, int], tuple[float, ...]] = {}
 
     @property
     def profile(self) -> StorageProfile:
@@ -90,16 +103,12 @@ class StorageLatencyModel:
         a co-located noisy neighbour slows down *all* transfers of that
         invocation, producing the stragglers observed for ``compression``.
         """
-        if num_bytes < 0:
-            raise ConfigurationError("cannot transfer a negative number of bytes")
         profile = self._profile
-        bandwidth = self.bandwidth_mbps(memory_mb) * 1024 * 1024  # bytes/s
-        base = profile.base_latency_s + num_bytes / bandwidth
+        base = self._base(num_bytes, memory_mb)
         # Log-normal multiplicative jitter keeps durations positive and
         # produces the right-skewed distributions observed in the paper.
-        if profile.jitter_cv > 0:
-            sigma = np.sqrt(np.log(1.0 + profile.jitter_cv**2))
-            jitter = float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
+        if self._jitter is not None:
+            jitter = float(self._rng.lognormal(*self._jitter))
         else:
             jitter = 1.0
         duration = base * jitter
@@ -108,6 +117,65 @@ class StorageLatencyModel:
         if contention:
             duration *= profile.contention_slowdown
         return float(duration)
+
+    def _base(self, num_bytes: int, memory_mb: int) -> float:
+        """Jitter-free duration (seconds) of one transfer of ``num_bytes``."""
+        if num_bytes < 0:
+            raise ConfigurationError("cannot transfer a negative number of bytes")
+        bandwidth = self.bandwidth_mbps(memory_mb) * 1024 * 1024  # bytes/s
+        return self._profile.base_latency_s + num_bytes / bandwidth
+
+    def transfer_bases(self, profile: WorkProfile, memory_mb: int) -> tuple[float, ...]:
+        """Jitter-free durations of one invocation's transfers, in draw order.
+
+        Reads come first, then writes; each direction with traffic issues
+        ``max(1, requests)`` transfers of ``bytes // requests`` bytes.
+        ``memory_mb`` is the effective (resolved) allocation.
+        """
+        key = (
+            profile.storage_read_bytes,
+            profile.storage_read_requests,
+            profile.storage_write_bytes,
+            profile.storage_write_requests,
+            memory_mb,
+        )
+        bases = self._bases_cache.get(key)
+        if bases is None:
+            read_bytes, read_requests, write_bytes, write_requests, _ = key
+            bases = ()
+            for num_bytes, requests in (
+                (read_bytes, read_requests),
+                (write_bytes, write_requests),
+            ):
+                if num_bytes > 0 or requests > 0:
+                    requests = max(1, requests)
+                    bases += (self._base(num_bytes // requests, memory_mb),) * requests
+            self._bases_cache[key] = bases
+        return bases
+
+    def invocation_time(self, bases: tuple[float, ...], contention: bool) -> float:
+        """Total duration of one invocation's transfers with ``bases``.
+
+        All jitters are one vectorized log-normal draw, which consumes the
+        bit stream exactly like ``len(bases)`` scalar draws, and the sum
+        folds left to right as ``total += (base * jitter) [* slowdown]``:
+        the result and the generator state are bit-identical to summing
+        :meth:`transfer_time` over the transfers with ``contention`` forced.
+        """
+        total = 0.0
+        if self._jitter is None:
+            jitters = [1.0] * len(bases)
+        else:
+            mean, sigma = self._jitter
+            jitters = self._rng.lognormal(mean, sigma, len(bases)).tolist()
+        if contention:
+            slowdown = self._profile.contention_slowdown
+            for base, jitter in zip(bases, jitters):
+                total += base * jitter * slowdown
+        else:
+            for base, jitter in zip(bases, jitters):
+                total += base * jitter
+        return total
 
     def draw_contention(self) -> bool:
         """Draw whether an invocation experiences a co-location contention event."""

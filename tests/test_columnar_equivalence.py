@@ -15,11 +15,14 @@ equality, no tolerances):
 * sharded replay (``workers=2``) on both backends, where record-mode
   shards ship columnar blocks across the process boundary.
 
-Scenarios are hypothesis-generated over providers × arrival patterns ×
-trigger types × the overload/fault/resilience stack, plus explicit pinned
-cases for every provider, IaaS (both storage modes) and the controlled
-stack — the paths the columnar engine either inlines or must compose with
-through the draw-block shims.
+Every scenario deploys ``dynamic-html`` (no storage transfers),
+``thumbnailer`` (2) and ``compression`` (41 reads + 1 write), so the
+per-invocation batched storage-jitter draw is compared at batch sizes 0, 2
+and 42.  Scenarios are hypothesis-generated over providers × arrival
+patterns × trigger types × the overload/fault/resilience stack, plus
+explicit pinned cases for every provider, IaaS (both storage modes) and
+the controlled stack — the paths the columnar engine either inlines or
+must compose with through the draw-block shims.
 """
 
 from __future__ import annotations
@@ -131,7 +134,8 @@ def _build_platform(provider, columnar, seed, **simkw):
     memory = DYNAMIC_MEMORY if provider is Provider.AZURE else 512
     f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=memory, function_name="fn-a")
     f2 = deploy_benchmark(platform, "thumbnailer", memory_mb=memory, function_name="fn-b")
-    return platform, (f1, f2)
+    f3 = deploy_benchmark(platform, "compression", memory_mb=memory, function_name="fn-c")
+    return platform, (f1, f2, f3)
 
 
 def _trace(fnames, process_a, process_b, duration_s, trigger_b):
@@ -139,7 +143,8 @@ def _trace(fnames, process_a, process_b, duration_s, trigger_b):
         fnames[0], process_a, duration_s, rng=11, trigger=TriggerType.HTTP
     )
     t2 = WorkloadTrace.synthesize(fnames[1], process_b, duration_s, rng=12, trigger=trigger_b)
-    return WorkloadTrace.merge(t1, t2)
+    t3 = WorkloadTrace.synthesize(fnames[2], process_b, duration_s, rng=13, trigger=trigger_b)
+    return WorkloadTrace.merge(t1, t2, t3)
 
 
 def _replay_both(provider, trace_of, keep_records, seed=2026, observer_factory=None, **simkw):
@@ -265,9 +270,10 @@ class TestPinnedProviders:
             platform = IaaSPlatform(simulation=simulation, use_cloud_storage=use_cloud_storage)
             f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=1024, function_name="fn-a")
             f2 = deploy_benchmark(platform, "thumbnailer", memory_mb=1024, function_name="fn-b")
+            f3 = deploy_benchmark(platform, "compression", memory_mb=1024, function_name="fn-c")
             engine = WorkloadEngine(platform)
-            result = engine.run(_mixed_trace((f1, f2)), keep_records=True)
-            outputs.append((result, platform, (f1, f2), None))
+            result = engine.run(_mixed_trace((f1, f2, f3)), keep_records=True)
+            outputs.append((result, platform, (f1, f2, f3), None))
         _assert_identical(outputs, True)
 
 

@@ -278,6 +278,27 @@ def test_sharded_profile_has_plan_shards_merge_phases():
     assert set(document["phases"]) == {"plan", "shards", "merge"}
 
 
+def _assert_clock_covers_phases(result, invocations):
+    """``wall_clock_s`` is read after the merge, so it spans every phase."""
+    phases = result.profile.phases
+    assert result.wall_clock_s >= phases["plan"] + phases["shards"] + phases["merge"]
+    assert result.throughput_per_s == invocations / result.wall_clock_s
+
+
+@pytest.mark.parametrize("timeseries", (None, 5.0))
+def test_sharded_workload_clock_includes_the_merge(timeseries):
+    result = _platform().run_workload(
+        _trace(20.0), workers=2, backend="sequential", profile=True, timeseries=timeseries
+    )
+    _assert_clock_covers_phases(result, result.invocations)
+
+
+def test_sharded_workflow_clock_includes_the_merge():
+    platform, arrivals = _workflow_setup(Provider.AWS)
+    result = platform.run_workflows(arrivals, workers=2, backend="sequential", profile=True)
+    _assert_clock_covers_phases(result, result.invocation_total)
+
+
 def test_profile_builder_nested_phases_accumulate():
     builder = ProfileBuilder()
     with builder.phase("outer"):

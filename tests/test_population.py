@@ -271,7 +271,11 @@ class TestPopulationReplay:
 
     def test_profile_and_summary_row(self):
         replay = replay_population(_platform(), SMALL, workers=2, profile=True)
-        assert set(replay.result.profile.phases) >= {"plan", "shards", "merge"}
+        phases = replay.result.profile.phases
+        assert set(phases) >= {"plan", "shards", "merge"}
+        # The clock is read after the merge and the tenant attribution.
+        assert replay.result.wall_clock_s >= phases["plan"] + phases["shards"] + phases["merge"]
+        assert replay.throughput_per_s == replay.invocations / replay.result.wall_clock_s
         row = replay.summary_row()
         assert row["population"] == "small-pop"
         assert row["functions_total"] == SMALL.n_functions
