@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -275,24 +275,38 @@ def _execute(
                 on_complete(outcome)
             outcomes.append(outcome)
         return outcomes, None
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(shards)), mp_context=_mp_context()
-    ) as pool:
-        future_map = {
-            pool.submit(worker, snapshot, shard, keep_records): shard for shard in shards
-        }
+    max_workers = min(workers, len(shards))
+    with ProcessPoolExecutor(max_workers=max_workers, mp_context=_mp_context()) as pool:
+        # Submit through a window of one queued shard beyond the running
+        # ones.  The pool eagerly moves pending futures into its internal
+        # call queue, where cancel() can no longer reach them, so handing it
+        # every shard up front would let doomed shards start after a failure.
+        queued = iter(shards)
+        in_flight: dict = {}
+
+        def submit_next() -> None:
+            shard = next(queued, None)
+            if shard is not None:
+                in_flight[pool.submit(worker, snapshot, shard, keep_records)] = shard
+
+        for _ in range(max_workers + 1):
+            submit_next()
         completed: dict[int, object] = {}
         try:
-            for future in as_completed(future_map):
-                outcome = future.result()
-                if on_complete is not None:
-                    on_complete(outcome)
-                completed[future_map[future].index] = outcome
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    shard = in_flight.pop(future)
+                    outcome = future.result()
+                    if on_complete is not None:
+                        on_complete(outcome)
+                    completed[shard.index] = outcome
+                    submit_next()
         except BaseException:
             # Fail fast: a doomed merge cannot use the remaining shards, so
             # don't let them burn wall-clock.  Running shards finish their
-            # current task; queued ones never start.
-            for future in future_map:
+            # current task; unsubmitted ones never start.
+            for future in in_flight:
                 future.cancel()
             raise
         return [completed[shard.index] for shard in shards], None
