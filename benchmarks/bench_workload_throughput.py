@@ -20,6 +20,7 @@ replay's memory footprint stays O(functions), not O(invocations).
 from __future__ import annotations
 
 import resource
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +33,9 @@ from repro.faas.invocation import InvocationRequest
 from repro.simulator.providers import create_platform
 from repro.experiments.base import deploy_benchmark
 from repro.workload import PoissonArrivals, WorkloadTrace
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import scalar_reference  # noqa: E402
 
 TRACE_INVOCATIONS = 100_000
 ARRIVAL_RATE_PER_S = 50.0
@@ -65,18 +69,23 @@ def _emit_bench_json(result) -> None:
 
 
 def test_workload_engine_throughput_100k(benchmark, simulation_config):
-    platform = create_platform(Provider.AWS, simulation_config)
-    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
-    # Size the window so the Poisson process lands close to 100k arrivals,
-    # then trim to exactly 100k for a stable denominator.
-    duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
-    trace = WorkloadTrace.synthesize(
-        fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=simulation_config.seed
-    )
-    assert len(trace) >= TRACE_INVOCATIONS
-    trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
+    """The scalar reference engine's record-mode replay of the 100k trace."""
+    with scalar_reference():
+        platform = create_platform(Provider.AWS, simulation_config)
+        fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
+        # Size the window so the Poisson process lands close to 100k
+        # arrivals, then trim to exactly 100k for a stable denominator.
+        duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
+        trace = WorkloadTrace.synthesize(
+            fname,
+            PoissonArrivals(ARRIVAL_RATE_PER_S),
+            duration_s=duration_s,
+            rng=simulation_config.seed,
+        )
+        assert len(trace) >= TRACE_INVOCATIONS
+        trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
 
-    result = run_once(benchmark, lambda: platform.run_workload(trace))
+        result = run_once(benchmark, lambda: platform.run_workload(trace))
 
     print(
         f"\nsimulated {result.invocations} invocations "
@@ -100,8 +109,8 @@ def test_workload_engine_throughput_100k(benchmark, simulation_config):
 def test_workload_columnar_throughput_100k(benchmark):
     """Columnar streaming replay of the 100k trace: >= 3x scalar, >= 90k/s.
 
-    The same trace is first replayed scalar (streaming mode) as the
-    in-process reference — the speedup ratio is container-noise-robust in a
+    The same trace is first replayed on the scalar reference engine
+    (streaming mode, ``scalar_reference()``) as the in-process reference — the speedup ratio is container-noise-robust in a
     way absolute figures are not — and the two streaming aggregates are
     asserted identical before any throughput claim.  The measured figures
     land in ``BENCH_workload_throughput.json`` as a ``columnar`` block
@@ -111,21 +120,21 @@ def test_workload_columnar_throughput_100k(benchmark):
 
     from repro.utils.io import atomic_write_json
 
-    def build(columnar: bool):
-        simulation = SimulationConfig(seed=42, columnar=columnar, log_retention=10_000)
+    def build():
+        simulation = SimulationConfig(seed=42, log_retention=10_000)
         platform = create_platform(Provider.AWS, simulation)
         fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
         return platform, fname
 
-    platform_scalar, fname = build(False)
-    duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
-    trace = WorkloadTrace.synthesize(
-        fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
-    )
-    trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
-
-    scalar = platform_scalar.run_workload(trace, keep_records=False)
-    platform_columnar, _ = build(True)
+    with scalar_reference():
+        platform_scalar, fname = build()
+        duration_s = 1.02 * TRACE_INVOCATIONS / ARRIVAL_RATE_PER_S
+        trace = WorkloadTrace.synthesize(
+            fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
+        )
+        trace = WorkloadTrace(list(trace)[:TRACE_INVOCATIONS])
+        scalar = platform_scalar.run_workload(trace, keep_records=False)
+    platform_columnar, _ = build()
     result = run_once(benchmark, lambda: platform_columnar.run_workload(trace, keep_records=False))
 
     # Bit-identity of the streaming aggregates (counters, sums, reservoir

@@ -52,6 +52,9 @@ from repro.simulator.providers import create_platform
 from repro.workload import PoissonArrivals, WorkloadTrace
 from repro.workflows import standard_workflow, synthesize_workflow_arrivals
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import scalar_reference  # noqa: E402
+
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_smoke.json"
 
 #: Throughput figures collected by the smoke checks for BENCH_smoke.json.
@@ -400,7 +403,8 @@ def _smoke_chaos_recovery(workers: int) -> list[str]:
     return failures
 
 
-#: Columnar smoke: the 10k flat trace replayed scalar and columnar — the
+#: Columnar smoke: the 10k flat trace replayed on the scalar reference
+#: engine (``scalar_reference()``) and the default columnar one — the
 #: record lists (frozen dataclasses, so ``==`` is bit equality including
 #: cost breakdowns and timestamps) and the streaming aggregates must agree
 #: exactly, serially and under sharding, and the columnar streaming replay
@@ -409,26 +413,27 @@ COLUMNAR_BUDGET_S = 30.0
 COLUMNAR_MIN_SPEEDUP = 1.5
 
 
-def _columnar_fixture(columnar: bool):
-    platform = create_platform(Provider.AWS, SimulationConfig(seed=42, columnar=columnar))
+def _columnar_fixture():
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=42))
     fname = deploy_benchmark(platform, "dynamic-html", memory_mb=256)
     return platform, fname
 
 
 def _smoke_columnar(workers: int) -> list[str]:
-    platform, fname = _columnar_fixture(False)
-    duration_s = 1.05 * SMOKE_INVOCATIONS / ARRIVAL_RATE_PER_S
-    trace = WorkloadTrace.synthesize(
-        fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
-    )
-    if len(trace) < SMOKE_INVOCATIONS:
-        return [f"synthesized only {len(trace)} requests"]
-    trace = WorkloadTrace(list(trace)[:SMOKE_INVOCATIONS])
+    with scalar_reference():
+        platform, fname = _columnar_fixture()
+        duration_s = 1.05 * SMOKE_INVOCATIONS / ARRIVAL_RATE_PER_S
+        trace = WorkloadTrace.synthesize(
+            fname, PoissonArrivals(ARRIVAL_RATE_PER_S), duration_s=duration_s, rng=42
+        )
+        if len(trace) < SMOKE_INVOCATIONS:
+            return [f"synthesized only {len(trace)} requests"]
+        trace = WorkloadTrace(list(trace)[:SMOKE_INVOCATIONS])
 
-    scalar = platform.run_workload(trace)
-    scalar_stream = _columnar_fixture(False)[0].run_workload(trace, keep_records=False)
-    columnar = _columnar_fixture(True)[0].run_workload(trace)
-    columnar_stream = _columnar_fixture(True)[0].run_workload(trace, keep_records=False)
+        scalar = platform.run_workload(trace)
+        scalar_stream = _columnar_fixture()[0].run_workload(trace, keep_records=False)
+    columnar = _columnar_fixture()[0].run_workload(trace)
+    columnar_stream = _columnar_fixture()[0].run_workload(trace, keep_records=False)
     METRICS["columnar_throughput_per_s"] = round(columnar_stream.throughput_per_s, 1)
     speedup = (
         columnar_stream.throughput_per_s / scalar_stream.throughput_per_s
@@ -471,7 +476,7 @@ def _smoke_columnar(workers: int) -> list[str]:
             or columnar_summary.client_time.percentiles != scalar_summary.client_time.percentiles
         ):
             failures.append(f"columnar summary of {fname_!r} diverged from scalar")
-    sharded = _columnar_fixture(True)[0].run_workload(trace, workers=workers)
+    sharded = _columnar_fixture()[0].run_workload(trace, workers=workers)
     if sharded.records != scalar.records:
         failures.append(
             f"sharded columnar records (x{workers}) are not bit-identical to serial scalar"

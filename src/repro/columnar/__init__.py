@@ -1,19 +1,20 @@
-"""Vectorized columnar replay hot path.
+"""Vectorized columnar replay hot path: the engine of every fast-path replay.
 
-Opt-in via :attr:`repro.config.SimulationConfig.columnar` (CLI:
-``--columnar``).  Three cooperating pieces:
+:func:`repro.columnar.engine.fast_path` is the one place that picks it:
+every trace replay without overload admission, fault plane, client
+resilience or kernel execution runs here.  Three cooperating pieces:
 
 * :mod:`repro.columnar.draws` — pre-drawn random blocks wrapping the
   blockable per-function streams (gateway, network, reliability,
   spurious), installed at runtime-state creation;
 * :mod:`repro.columnar.records` — struct-of-arrays invocation storage
   with lazy record materialisation;
-* :mod:`repro.columnar.engine` — the flat replay loop (imported lazily by
-  :meth:`repro.workload.engine.WorkloadEngine.run` so scalar replays
-  never pay for it).
+* :mod:`repro.columnar.engine` — the flat replay loop and the
+  :func:`~repro.columnar.engine.fast_path` predicate.
 
-Every result is bit-identical to the scalar path; the differential tier
-(``tests/test_columnar_equivalence.py``) and the golden fixtures prove it.
+Every result is bit-identical to the scalar loops, which remain the
+reference: the differential tier (``tests/test_columnar_equivalence.py``)
+and the golden fixtures prove it.
 """
 
 from .draws import BLOCK, ExponentialBlock, LognormalBlock, UniformBlock, install_draw_blocks

@@ -28,8 +28,8 @@ and replaces it in place (``state.gateway_stream``, ``state.network._rng``,
 overload/fault replay loop, direct ``platform.invoke`` calls) hit the
 parameter-checked shim methods (`random`/`lognormal`/`exponential`) and
 receive exactly the values the raw generator would have produced — which is
-how the columnar flag composes with the overload/fault/resilience stack
-without a second code path.
+how the blocks compose with the overload/fault/resilience stack without a
+second code path.
 
 Batch-boundary rule: a block pre-draws up to ``BLOCK`` values, so after a
 replay the *underlying* generator sits at the next block boundary rather
@@ -150,9 +150,9 @@ class ExponentialBlock:
 def install_draw_blocks(state, platform) -> None:
     """Replace a runtime state's blockable streams with pre-drawn blocks.
 
-    Called once from ``_new_runtime_state`` when the platform runs in
-    columnar mode.  Wraps exactly the streams whose draw pattern is a
-    single constant-parameter distribution:
+    Called once from ``_new_runtime_state`` for every runtime state.  Wraps
+    exactly the streams whose draw pattern is a single constant-parameter
+    distribution:
 
     * ``gateway_stream`` — one warm-jitter lognormal per executed invocation;
     * ``network._rng`` — two exponentials (request, response) per invocation;

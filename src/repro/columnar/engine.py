@@ -3,12 +3,12 @@
 One flat loop replaces the scalar call stack
 (``WorkloadEngine._stream_fast`` → ``_simulate_invocation`` →
 ``_simulate_reserved_invocation`` → compute / reliability / billing /
-network models) for fast-path replays: no overload admission, no fault
-plane, no client resilience, no kernel execution.  Everything a record
-shares with its function — CPU share, jitter parameters, storage transfer
-bases, billing constants, reliability thresholds — is precomputed once per
-function into a :class:`_Lane`; per invocation only the data-dependent
-draws and float arithmetic remain.
+network models) for every fast-path replay (:func:`fast_path`): no
+overload admission, no fault plane, no client resilience, no kernel
+execution.  Everything a record shares with its function — CPU share,
+jitter parameters, storage transfer bases, billing constants, reliability
+thresholds — is precomputed once per function into a :class:`_Lane`; per
+invocation only the data-dependent draws and float arithmetic remain.
 
 **Draw-order contract.**  The loop consumes the per-function random
 streams in exactly the scalar order:
@@ -871,6 +871,18 @@ def _replay(
             if lanes:
                 accumulator.last_finished = last_finish
         _flush_history(lanes, retention)
+
+
+def fast_path(platform) -> bool:
+    """Whether trace replays on ``platform`` run the columnar loop.
+
+    The one place that picks the replay path.  Controlled replays (overload
+    admission, fault plane, client resilience) and kernel execution run the
+    scalar loops of :class:`~repro.workload.engine.WorkloadEngine`; every
+    other trace replay — serial or sharded, records, streaming or observed —
+    runs :func:`_replay`.
+    """
+    return not platform._controlled_replay and not platform.execute_kernels
 
 
 def replay_collect(engine, requests, positions=None) -> ColumnarRecordBlock:

@@ -41,42 +41,6 @@ class DeploymentError(PlatformError):
     """A code package could not be deployed (e.g. exceeds size limits)."""
 
 
-class InvocationError(PlatformError):
-    """A function invocation failed on the provider side.
-
-    The paper observes several classes of invocation failure: out-of-memory
-    terminations (GCP at small memory sizes), service unavailability under
-    concurrent bursts, and time-limit violations.  ``reason`` carries a short
-    machine-readable tag (``"out-of-memory"``, ``"unavailable"``,
-    ``"timeout"``).
-    """
-
-    def __init__(self, message: str, reason: str = "error"):
-        super().__init__(message)
-        self.reason = reason
-
-
-class OutOfMemoryError(InvocationError):
-    """Function exceeded the configured memory allocation."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="out-of-memory")
-
-
-class ServiceUnavailableError(InvocationError):
-    """The platform could not serve the invocation (capacity/availability)."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="unavailable")
-
-
-class FunctionTimeoutError(InvocationError):
-    """Function execution exceeded the platform time limit."""
-
-    def __init__(self, message: str):
-        super().__init__(message, reason="timeout")
-
-
 class StorageError(SeBSError):
     """Base class for persistent/ephemeral storage errors."""
 

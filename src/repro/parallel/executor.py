@@ -46,6 +46,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from ..columnar import engine as columnar
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
 from ..utils.rng import RandomStreams
@@ -131,74 +132,56 @@ def _replay_trace_shard(
     if series is not None:
         engine.observer = series
     requests = _shard_requests(shard)
-    # Columnar fast path: ship the parallel arrays (record mode) or fold in
-    # the worker (streaming) instead of materialising record objects.
-    # Time-series shards and controlled replays fall through to the scalar
-    # loop — the draw blocks installed on the rebuilt platform keep those
-    # bit-identical through the stream shims.
-    columnar_ok = (
-        series is None
-        and getattr(platform, "_columnar", False)
-        and not getattr(platform, "_controlled_replay", False)
-        and not platform.execute_kernels
-    )
-    if keep_records:
-        if not isinstance(shard, TraceShard):
-            raise ConfigurationError("record-mode shards must carry materialised requests")
-        # Thread the *global* stream indices through the replay: each record
-        # reports the index of the request that produced it, which stays
-        # correct even when the overload model resolves requests out of
-        # arrival order (retries, admission queueing).
-        if columnar_ok:
-            from ..columnar.engine import replay_collect
-
-            block = replay_collect(
-                engine, requests, positions=(index for index, _ in shard.requests)
-            )
-            return TraceShardOutcome(
-                shard_index=shard.index,
-                records=None,
-                accumulator=None,
-                peak_in_flight=engine.last_peak_in_flight,
-                timeseries=None,
-                columnar=block,
-            )
-        records = []
-        for record in engine.stream(requests, positions=(index for index, _ in shard.requests)):
-            if series is not None:
-                series.observe_record(record)
-            records.append(record)
-        indexed = [(record.request_index, record) for record in records]
-        return TraceShardOutcome(
-            shard_index=shard.index,
-            records=indexed,
-            accumulator=None,
-            peak_in_flight=engine.last_peak_in_flight,
-            timeseries=series,
-        )
-    accumulator = _ReplayAccumulator()
+    if keep_records and not isinstance(shard, TraceShard):
+        raise ConfigurationError("record-mode shards must carry materialised requests")
+    # Thread the *global* stream indices through the replay: each record
+    # reports the index of the request that produced it, which stays
+    # correct even when the overload model resolves requests out of
+    # arrival order (retries, admission queueing).
     positions = (
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
-    if columnar_ok:
-        from ..columnar.engine import replay_fold
-
-        replay_fold(engine, requests, accumulator, positions=positions)
+    fast = columnar.fast_path(platform)
+    if fast and series is None:
+        # Ship the parallel arrays (record mode) or fold in the worker
+        # (streaming) instead of materialising record objects.
+        if keep_records:
+            block = columnar.replay_collect(engine, requests, positions=positions)
+            accumulator = None
+        else:
+            block = None
+            accumulator = _ReplayAccumulator()
+            columnar.replay_fold(engine, requests, accumulator, positions=positions)
         return TraceShardOutcome(
             shard_index=shard.index,
             records=None,
             accumulator=accumulator,
             peak_in_flight=engine.last_peak_in_flight,
-            timeseries=None,
+            columnar=block,
         )
-    for record in engine.stream(requests, positions=positions):
-        if series is not None:
-            series.observe_record(record)
-        accumulator.add(record)
+    # Record objects in stream order: the columnar loop builds them inline
+    # for a time-series builder; controlled and kernel replays run the
+    # scalar loop.
+    sink = [] if keep_records else _ReplayAccumulator()
+    add = sink.append if keep_records else sink.add
+    if series is None:
+        emit = add
+    else:
+        observe = series.observe_record
+
+        def emit(record):
+            observe(record)
+            add(record)
+
+    if fast:
+        columnar.replay_emit(engine, requests, emit, positions=positions)
+    else:
+        for record in engine.stream(requests, positions=positions):
+            emit(record)
     return TraceShardOutcome(
         shard_index=shard.index,
-        records=None,
-        accumulator=accumulator,
+        records=[(record.request_index, record) for record in sink] if keep_records else None,
+        accumulator=None if keep_records else sink,
         peak_in_flight=engine.last_peak_in_flight,
         timeseries=series,
     )

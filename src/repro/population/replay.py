@@ -18,7 +18,7 @@ the scale path:
   ``(seed, "pop", fname)`` streams, builds the merged stream with one
   stable ``argsort`` (reproducing the serial heap-merge tie order:
   lower member index first), and folds it through the columnar hot path
-  when the platform enables it — the parent process stays O(shards).
+  — the parent process stays O(shards).
 
 Parent-side memory is O(functions) only where it must be: the shard plan
 (one int per member) and the merged per-function accumulators.  No request
@@ -39,6 +39,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ..columnar import engine as columnar
 from ..config import DYNAMIC_MEMORY, DEFAULT_REGIONS, FunctionConfig, SimulationConfig
 from ..exceptions import ConfigurationError
 from ..faas.invocation import InvocationRequest
@@ -243,15 +244,8 @@ def _replay_population_shard(
             peak_in_flight=0,
         )
     requests = _shard_request_stream(population, shard.seed, active, arrivals)
-    columnar_ok = (
-        getattr(platform, "_columnar", False)
-        and not getattr(platform, "_controlled_replay", False)
-        and not platform.execute_kernels
-    )
-    if columnar_ok:
-        from ..columnar.engine import replay_fold
-
-        replay_fold(engine, requests, accumulator)
+    if columnar.fast_path(platform):
+        columnar.replay_fold(engine, requests, accumulator)
     else:
         for record in engine.stream(requests):
             accumulator.add(record)

@@ -1514,20 +1514,11 @@ class WorkloadEngine:
         if observer is not None:
             self.observer = observer
         observer = self.observer
-        platform = self.platform
-        if (
-            getattr(platform, "_columnar", False)
-            and not getattr(platform, "_controlled_replay", False)
-            and not platform.execute_kernels
-        ):
-            # Columnar fast path: same draws, same floats, flat loop
-            # (repro.columnar.engine).  Controlled replays (overload/faults/
-            # resilience) and kernel execution fall through to the scalar
-            # loop — the pre-drawn blocks installed on the runtime states
-            # keep those bit-identical too, via the stream shims.
-            from ..columnar.engine import run_columnar
+        # Lazy: repro.columnar.engine imports this module.
+        from ..columnar import engine as columnar
 
-            return run_columnar(self, trace, keep_records, observer)
+        if columnar.fast_path(self.platform):
+            return columnar.run_columnar(self, trace, keep_records, observer)
         if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
             for fname in trace.functions():
                 self.platform.get_function(fname)

@@ -2,10 +2,10 @@
 
 The differential tier behind the columnar hot path (see
 ``docs/architecture.md``, "Columnar hot path"): every scenario is replayed
-twice on identically-seeded platforms — once scalar
-(``SimulationConfig(columnar=False)``), once columnar — and every
-observable output is compared with ``==`` (which for floats is bit
-equality, no tolerances):
+twice on identically-seeded platforms — once on the scalar reference
+engine (``oracle.scalar_reference()``), once on the default columnar
+engine — and every observable output is compared with ``==`` (which for
+floats is bit equality, no tolerances):
 
 * the full record list, field for field, including cost breakdowns,
   container ids, submission/start/finish timestamps and request indices;
@@ -48,6 +48,8 @@ from repro.workload import (
     WorkloadTrace,
 )
 from repro.workload.engine import WorkloadEngine
+
+from oracle import scalar_reference
 
 PROVIDERS = (Provider.AWS, Provider.GCP, Provider.AZURE)
 
@@ -128,8 +130,8 @@ def _logs_key(platform, fnames):
     return out
 
 
-def _build_platform(provider, columnar, seed, **simkw):
-    simulation = SimulationConfig(seed=seed, columnar=columnar, **simkw)
+def _build_platform(provider, seed, **simkw):
+    simulation = SimulationConfig(seed=seed, **simkw)
     platform = create_platform(provider, simulation=simulation)
     memory = DYNAMIC_MEMORY if provider is Provider.AZURE else 512
     f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=memory, function_name="fn-a")
@@ -150,11 +152,12 @@ def _trace(fnames, process_a, process_b, duration_s, trigger_b):
 def _replay_both(provider, trace_of, keep_records, seed=2026, observer_factory=None, **simkw):
     """Replay one scenario scalar and columnar; return both outputs."""
     outputs = []
-    for columnar in (False, True):
-        platform, fnames = _build_platform(provider, columnar, seed, **simkw)
-        engine = WorkloadEngine(platform)
-        observer = observer_factory() if observer_factory is not None else None
-        result = engine.run(trace_of(fnames), keep_records=keep_records, observer=observer)
+    for scalar in (True, False):
+        with scalar_reference(scalar):
+            platform, fnames = _build_platform(provider, seed, **simkw)
+            engine = WorkloadEngine(platform)
+            observer = observer_factory() if observer_factory is not None else None
+            result = engine.run(trace_of(fnames), keep_records=keep_records, observer=observer)
         outputs.append((result, platform, fnames, observer))
     return outputs
 
@@ -265,14 +268,15 @@ class TestPinnedProviders:
     @pytest.mark.parametrize("use_cloud_storage", (False, True))
     def test_iaas(self, use_cloud_storage):
         outputs = []
-        for columnar in (False, True):
-            simulation = SimulationConfig(seed=2026, columnar=columnar)
-            platform = IaaSPlatform(simulation=simulation, use_cloud_storage=use_cloud_storage)
-            f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=1024, function_name="fn-a")
-            f2 = deploy_benchmark(platform, "thumbnailer", memory_mb=1024, function_name="fn-b")
-            f3 = deploy_benchmark(platform, "compression", memory_mb=1024, function_name="fn-c")
-            engine = WorkloadEngine(platform)
-            result = engine.run(_mixed_trace((f1, f2, f3)), keep_records=True)
+        for scalar in (True, False):
+            with scalar_reference(scalar):
+                simulation = SimulationConfig(seed=2026)
+                platform = IaaSPlatform(simulation=simulation, use_cloud_storage=use_cloud_storage)
+                f1 = deploy_benchmark(platform, "dynamic-html", memory_mb=1024, function_name="fn-a")
+                f2 = deploy_benchmark(platform, "thumbnailer", memory_mb=1024, function_name="fn-b")
+                f3 = deploy_benchmark(platform, "compression", memory_mb=1024, function_name="fn-c")
+                engine = WorkloadEngine(platform)
+                result = engine.run(_mixed_trace((f1, f2, f3)), keep_records=True)
             outputs.append((result, platform, (f1, f2, f3), None))
         _assert_identical(outputs, True)
 
@@ -311,11 +315,12 @@ class TestSharded:
     @pytest.mark.parametrize("backend", ("sequential", "process"))
     @pytest.mark.parametrize("keep_records", (True, False))
     def test_sharded_columnar_equals_serial_scalar(self, backend, keep_records):
-        serial_platform, fnames = _build_platform(Provider.AWS, False, 2026)
-        serial = WorkloadEngine(serial_platform).run(
-            _mixed_trace(fnames), keep_records=keep_records
-        )
-        platform, fnames = _build_platform(Provider.AWS, True, 2026)
+        with scalar_reference():
+            serial_platform, fnames = _build_platform(Provider.AWS, 2026)
+            serial = WorkloadEngine(serial_platform).run(
+                _mixed_trace(fnames), keep_records=keep_records
+            )
+        platform, fnames = _build_platform(Provider.AWS, 2026)
         sharded = run_workload_sharded(
             platform,
             _mixed_trace(fnames),
@@ -331,16 +336,19 @@ class TestSharded:
             assert _stream_key(sharded) == _stream_key(serial)
 
     def test_sharded_timeseries_falls_back_scalar_identical(self):
+        """Time-series shards run the columnar loop in emit mode; their
+        merged series and streaming output equal the scalar reference's."""
         results = []
-        for columnar in (False, True):
-            platform, fnames = _build_platform(Provider.AWS, columnar, 2026)
-            result = run_workload_sharded(
-                platform,
-                _mixed_trace(fnames),
-                workers=2,
-                keep_records=False,
-                timeseries=5.0,
-            )
+        for scalar in (True, False):
+            with scalar_reference(scalar):
+                platform, fnames = _build_platform(Provider.AWS, 2026)
+                result = run_workload_sharded(
+                    platform,
+                    _mixed_trace(fnames),
+                    workers=2,
+                    keep_records=False,
+                    timeseries=5.0,
+                )
             results.append(result)
         scalar, columnar = results
         assert _stream_key(scalar) == _stream_key(columnar)

@@ -18,6 +18,8 @@ import pytest
 
 from repro.workload import WorkloadTrace
 
+from oracle import scalar_reference
+
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -40,7 +42,8 @@ def test_golden_trace_summary_has_not_drifted(name):
         f"golden fixtures for {name!r} missing — run `make regen-golden`"
     )
     trace = WorkloadTrace.from_json(trace_file)
-    actual = builder.summarize_trace(trace)
+    with scalar_reference():
+        actual = builder.summarize_trace(trace)
     expected = json.loads(expected_file.read_text(encoding="utf-8"))
     assert actual == expected, (
         f"golden trace {name!r} drifted; if intentional, run `make regen-golden` "
@@ -66,7 +69,8 @@ def test_golden_storm_summary_has_not_drifted():
         "golden storm fixtures missing — run `make regen-golden`"
     )
     trace = WorkloadTrace.from_json(trace_file)
-    actual = builder.summarize_storm(trace)
+    with scalar_reference():
+        actual = builder.summarize_storm(trace)
     expected = json.loads(expected_file.read_text(encoding="utf-8"))
     assert actual == expected, (
         "golden storm scenario drifted; if intentional, run `make regen-golden` "
@@ -88,7 +92,8 @@ def test_golden_storm_timeseries_has_not_drifted():
         "golden storm time-series fixture missing — run `make regen-golden`"
     )
     trace = WorkloadTrace.from_json(builder.trace_path(builder.STORM_NAME))
-    actual = builder.summarize_storm_timeseries(trace)
+    with scalar_reference():
+        actual = builder.summarize_storm_timeseries(trace)
     expected = json.loads(expected_file.read_text(encoding="utf-8"))
     assert actual == expected, (
         "golden storm time series drifted; if intentional, run `make regen-golden` "
@@ -111,11 +116,12 @@ def test_golden_storm_trace_matches_its_recipe():
 
 
 def test_golden_mixed_columnar_matches_scalar_fixture():
-    """The columnar hot path reproduces the mixed golden byte-identically —
-    against the *same* expected file the scalar path is pinned to (the
-    columnar mode may never need fixtures of its own)."""
+    """The default columnar engine reproduces the mixed golden
+    byte-identically — against the *same* expected file the scalar
+    reference is pinned to (the columnar engine may never need fixtures of
+    its own)."""
     trace = WorkloadTrace.from_json(builder.trace_path("mixed"))
-    actual = builder.summarize_trace(trace, columnar=True)
+    actual = builder.summarize_trace(trace)
     expected = json.loads(builder.expected_path("mixed").read_text(encoding="utf-8"))
     assert actual == expected, (
         "columnar replay of the mixed golden diverged from the scalar fixture"
@@ -124,10 +130,10 @@ def test_golden_mixed_columnar_matches_scalar_fixture():
 
 def test_golden_storm_columnar_matches_scalar_fixture():
     """The storm golden runs the controlled overload/fault/resilience loop;
-    under ``columnar=True`` it must still match the scalar fixture exactly
-    (the pre-drawn blocks feed the scalar loop through the stream shims)."""
+    with the default draw blocks it must still match the scalar fixture
+    exactly (the blocks feed the scalar loop through the stream shims)."""
     trace = WorkloadTrace.from_json(builder.trace_path(builder.STORM_NAME))
-    actual = builder.summarize_storm(trace, columnar=True)
+    actual = builder.summarize_storm(trace)
     expected = json.loads(
         builder.expected_path(builder.STORM_NAME).read_text(encoding="utf-8")
     )

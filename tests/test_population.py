@@ -40,6 +40,8 @@ from repro.population.replay import (
 )
 from repro.simulator.providers import create_platform
 
+from oracle import scalar_reference
+
 FIXTURE = "tests/fixtures/azure_trace_sample.csv"
 
 SMALL = PopulationSpec(
@@ -51,8 +53,8 @@ SMALL = PopulationSpec(
 )
 
 
-def _platform(provider=Provider.AWS, seed=42, columnar=False):
-    return create_platform(provider, SimulationConfig(seed=seed, columnar=columnar))
+def _platform(provider=Provider.AWS, seed=42):
+    return create_platform(provider, SimulationConfig(seed=seed))
 
 
 def _assert_streaming_equal(serial, parallel):
@@ -231,8 +233,9 @@ class TestPopulationReplay:
         assert process.top_tenants == sequential.top_tenants
 
     def test_columnar_replay_matches_scalar(self):
-        scalar = replay_population(_platform(columnar=False), SMALL, workers=2)
-        columnar = replay_population(_platform(columnar=True), SMALL, workers=2)
+        with scalar_reference():
+            scalar = replay_population(_platform(), SMALL, workers=2)
+        columnar = replay_population(_platform(), SMALL, workers=2)
         _assert_streaming_equal(scalar.result, columnar.result)
         assert columnar.top_tenants == scalar.top_tenants
 

@@ -273,8 +273,8 @@ def test_streaming_aggregation_matches_record_mode():
     assert streaming_summary.invocations == exact_summary.invocations
     assert streaming_summary.cold_starts == exact_summary.cold_starts
     assert streaming_summary.total_cost_usd == pytest.approx(exact_summary.total_cost_usd, rel=1e-12)
-    # P² quantiles are estimates; on thousands of samples they should sit
-    # within a few percent of the exact percentiles.
+    # Reservoir quantiles are estimates; on thousands of samples they should
+    # sit within a few percent of the exact percentiles.
     assert streaming_summary.client_time.median == pytest.approx(
         exact_summary.client_time.median, rel=0.05
     )

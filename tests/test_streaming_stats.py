@@ -12,7 +12,6 @@ from repro.faas.invocation import InvocationRequest
 from repro.faas.platform import LogQueryType
 from repro.simulator.providers import create_platform
 from repro.stats import (
-    P2Quantile,
     ReservoirSample,
     StreamingMoments,
     StreamingSummary,
@@ -40,31 +39,6 @@ class TestStreamingMoments:
         moments.add(4.0)
         assert moments.mean == pytest.approx(3.0)
         assert moments.variance == pytest.approx(2.0)
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("p", [0.02, 0.25, 0.5, 0.75, 0.95, 0.99])
-    def test_converges_on_lognormal_stream(self, p):
-        rng = np.random.default_rng(11)
-        data = rng.lognormal(mean=0.0, sigma=0.5, size=20000)
-        estimator = P2Quantile(p)
-        for x in data:
-            estimator.add(float(x))
-        exact = float(np.percentile(data, p * 100.0))
-        assert estimator.value() == pytest.approx(exact, rel=0.05)
-        assert estimator.count == 20000
-
-    def test_exact_below_five_samples(self):
-        estimator = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            estimator.add(x)
-        assert estimator.value() == pytest.approx(3.0)
-
-    def test_rejects_invalid_quantile_and_empty_stream(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(1.5)
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.5).value()
 
 
 class TestReservoirSample:
