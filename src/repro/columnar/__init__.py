@@ -1,8 +1,9 @@
 """Vectorized columnar replay hot path: the engine of every fast-path replay.
 
-:func:`repro.columnar.engine.fast_path` is the one place that picks it:
-every trace replay without overload admission, fault plane, client
-resilience or kernel execution runs here.  Three cooperating pieces:
+:meth:`repro.workload.engine.WorkloadEngine.stream` picks it whenever
+:func:`repro.columnar.engine.fast_path` holds: every replay without
+overload admission, fault plane, client resilience or kernel execution
+runs here.  Three cooperating pieces:
 
 * :mod:`repro.columnar.draws` — pre-drawn random blocks wrapping the
   blockable per-function streams (gateway, network, reliability,
@@ -12,8 +13,8 @@ resilience or kernel execution runs here.  Three cooperating pieces:
 * :mod:`repro.columnar.engine` — the flat replay loop and the
   :func:`~repro.columnar.engine.fast_path` predicate.
 
-Every result is bit-identical to the scalar loops, which remain the
-reference: the differential tier (``tests/test_columnar_equivalence.py``)
+Every result is bit-identical to the scalar controlled loop, which remains
+the reference: the differential tier (``tests/test_columnar_equivalence.py``)
 and the golden fixtures prove it.
 """
 

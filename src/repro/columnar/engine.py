@@ -1,14 +1,14 @@
 """The vectorized (columnar) trace-replay hot loop.
 
 One flat loop replaces the scalar call stack
-(``WorkloadEngine._stream_fast`` → ``_simulate_invocation`` →
-``_simulate_reserved_invocation`` → compute / reliability / billing /
-network models) for every fast-path replay (:func:`fast_path`): no
-overload admission, no fault plane, no client resilience, no kernel
-execution.  Everything a record shares with its function — CPU share,
-jitter parameters, storage transfer bases, billing constants, reliability
-thresholds — is precomputed once per function into a :class:`_Lane`; per
-invocation only the data-dependent draws and float arithmetic remain.
+(``_simulate_invocation`` → ``_simulate_reserved_invocation`` → compute /
+reliability / billing / network models) for every fast-path replay
+(:func:`fast_path`): no overload admission, no fault plane, no client
+resilience, no kernel execution.  Everything a record shares with its
+function — CPU share, jitter parameters, storage transfer bases, billing
+constants, reliability thresholds — is precomputed once per function into
+a :class:`_Lane`; per invocation only the data-dependent draws and float
+arithmetic remain.
 
 **Draw-order contract.**  The loop consumes the per-function random
 streams in exactly the scalar order:
@@ -35,21 +35,25 @@ is replicated in the scalar path's evaluation order, so records, streaming
 summaries, provider logs, pool state and the clock are bit-identical — the
 differential tier in ``tests/test_columnar_equivalence.py`` asserts it.
 
-Three sink modes share the loop:
+:func:`_replay` is a generator, reached only through
+:meth:`repro.workload.engine.WorkloadEngine.stream`.  What it does with
+each invocation depends on the sink it is given:
 
-* **record** — per-invocation variables append to a
-  :class:`~repro.columnar.records.ColumnarRecordBlock`; record objects are
-  materialised lazily after the loop (``keep_records=True``);
-* **fold** — per-lane counters and batched
-  :meth:`~repro.stats.streaming.StreamingSummary.add_many` folds build a
-  :class:`~repro.workload.engine._ReplayAccumulator` without ever creating
-  a record (``keep_records=False``);
-* **emit** — an attached observer needs the record object and its hooks in
-  stream order, so records are built inline and handed to a callback (the
-  loop still wins the blocked draws and the inlined arithmetic).
+* a :class:`~repro.columnar.records.ColumnarRecordBlock` — per-invocation
+  variables append to the block; record objects are materialised lazily
+  after the loop, and nothing is yielded;
+* a :class:`~repro.workload.engine._ReplayAccumulator` — per-lane counters
+  and batched :meth:`~repro.stats.streaming.StreamingSummary.add_many`
+  folds build the accumulator without ever creating a record, and nothing
+  is yielded;
+* no sink — each :class:`~repro.faas.invocation.InvocationRecord` is built
+  inline and yielded in stream order (observers, workflows,
+  ``invoke_stream``; the loop still wins the blocked draws and the inlined
+  arithmetic).
 
 Provider-log entries are buffered as arrays and materialised into
-``state.history`` once, after the loop (bounded by ``log_retention``).
+``state.history`` once, when the generator is exhausted or closed
+(bounded by ``log_retention``).
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,14 +73,7 @@ from ..simulator.containers import Container, ContainerState
 from ..simulator.reliability import ReliabilityModel
 from ..utils.units import round_up
 from .draws import BLOCK as _BLOCK
-from ..workload.engine import (
-    _PRUNE_INTERVAL,
-    _FunctionAccumulator,
-    _ReplayAccumulator,
-    WorkloadResult,
-    streaming_result,
-)
-from ..workload.trace import MergedWorkloadTrace, WorkloadTrace
+from ..workload.engine import _PRUNE_INTERVAL, _FunctionAccumulator, _ReplayAccumulator
 from .records import ColumnarRecordBlock, LaneMeta
 
 _HTTP = TriggerType.HTTP
@@ -420,14 +416,12 @@ def _replay(
     engine,
     requests: Iterable,
     positions: Iterable[int] | None,
-    block: ColumnarRecordBlock | None,
-    accumulator: _ReplayAccumulator | None,
-    emit: Callable | None,
-) -> None:
-    """The flat columnar loop.  Exactly one sink must be active:
+    sink: ColumnarRecordBlock | _ReplayAccumulator | None,
+) -> Iterator[InvocationRecord]:
+    """The flat columnar loop, as a generator.
 
-    ``block`` (record mode), ``accumulator`` (fold mode) or ``emit``
-    (observer mode, records built inline and passed to the callback).
+    Given a ``sink`` it writes every invocation into it and yields
+    nothing; without one it yields each record in stream order.
     """
     platform = engine.platform
     clock = platform.clock
@@ -461,6 +455,8 @@ def _replay(
     peak = 0
     engine.last_peak_in_flight = 0
 
+    block = sink if isinstance(sink, ColumnarRecordBlock) else None
+    accumulator = sink if isinstance(sink, _ReplayAccumulator) else None
     record_mode = block is not None
     fold_mode = accumulator is not None
     if record_mode:
@@ -805,37 +801,35 @@ def _replay(
                 if len(lane.client_buf) >= _FOLD_BATCH:
                     _flush_lane(lane)
             else:
-                emit(
-                    InvocationRecord(
-                        function_name=lane.fname,
-                        benchmark=lane.benchmark,
-                        provider=provider,
-                        start_type=_COLD if cold else _WARM,
-                        success=success,
-                        benchmark_time_s=benchmark_time_s,
-                        provider_time_s=provider_time_s,
-                        client_time_s=client_time_s,
-                        invocation_overhead_s=invocation_overhead_s,
-                        cold_init_s=cold_init_s,
-                        memory_declared_mb=lane.memory_mb,
-                        memory_used_mb=memory_used,
-                        billed_duration_s=billed_duration_s,
-                        cost=CostBreakdown(
-                            request_cost=request_cost,
-                            compute_cost=compute_cost,
-                            storage_cost=storage_cost,
-                            egress_cost=egress_cost,
-                        ),
-                        output_bytes=lane.profile.output_bytes,
-                        container_id=container_id,
-                        submitted_at=now,
-                        started_at=now + invocation_overhead_s,
-                        finished_at=finished_at,
-                        error=error,
-                        outcome=_COMPLETED if success else _FAILED,
-                        admitted_at=now,
-                        request_index=request_index,
-                    )
+                yield InvocationRecord(
+                    function_name=lane.fname,
+                    benchmark=lane.benchmark,
+                    provider=provider,
+                    start_type=_COLD if cold else _WARM,
+                    success=success,
+                    benchmark_time_s=benchmark_time_s,
+                    provider_time_s=provider_time_s,
+                    client_time_s=client_time_s,
+                    invocation_overhead_s=invocation_overhead_s,
+                    cold_init_s=cold_init_s,
+                    memory_declared_mb=lane.memory_mb,
+                    memory_used_mb=memory_used,
+                    billed_duration_s=billed_duration_s,
+                    cost=CostBreakdown(
+                        request_cost=request_cost,
+                        compute_cost=compute_cost,
+                        storage_cost=storage_cost,
+                        egress_cost=egress_cost,
+                    ),
+                    output_bytes=lane.profile.output_bytes,
+                    container_id=container_id,
+                    submitted_at=now,
+                    started_at=now + invocation_overhead_s,
+                    finished_at=finished_at,
+                    error=error,
+                    outcome=_COMPLETED if success else _FAILED,
+                    admitted_at=now,
+                    request_index=request_index,
                 )
 
             processed += 1
@@ -843,7 +837,7 @@ def _replay(
                 # prune() rebinds pool._index; refresh the lane caches of
                 # every pruned pool.  The first interval sweeps every state
                 # (clearing any evictions that predate this loop, exactly as
-                # the scalar engine's full _prune_pools pass would); after
+                # the controlled loop's full _prune_pools pass would); after
                 # that only lanes evicted-from inside this loop can be dirty.
                 if swept:
                     for dirty_lane in dirty_lanes:
@@ -874,86 +868,14 @@ def _replay(
 
 
 def fast_path(platform) -> bool:
-    """Whether trace replays on ``platform`` run the columnar loop.
+    """Whether replays on ``platform`` run the columnar loop.
 
-    The one place that picks the replay path.  Controlled replays (overload
-    admission, fault plane, client resilience) and kernel execution run the
-    scalar loops of :class:`~repro.workload.engine.WorkloadEngine`; every
-    other trace replay — serial or sharded, records, streaming or observed —
-    runs :func:`_replay`.
+    The one place that picks the replay path, consulted only by
+    :meth:`~repro.workload.engine.WorkloadEngine.stream`.  Controlled
+    replays (overload admission, fault plane, client resilience) and kernel
+    execution run the controlled loop
+    (:meth:`~repro.workload.engine.WorkloadEngine._stream_overload`); every
+    other replay — serial or sharded, records, streaming or observed, trace,
+    population, workflow or ``invoke_stream`` — runs :func:`_replay`.
     """
     return not platform._controlled_replay and not platform.execute_kernels
-
-
-def replay_collect(engine, requests, positions=None) -> ColumnarRecordBlock:
-    """Record mode: replay into a columnar block (no record objects yet)."""
-    block = ColumnarRecordBlock()
-    _replay(engine, requests, positions, block, None, None)
-    return block
-
-
-def replay_fold(engine, requests, accumulator: _ReplayAccumulator, positions=None) -> None:
-    """Fold mode: replay straight into a streaming accumulator."""
-    _replay(engine, requests, positions, None, accumulator, None)
-
-
-def replay_emit(engine, requests, emit: Callable, positions=None) -> None:
-    """Observer mode: build records inline, hand each to ``emit``."""
-    _replay(engine, requests, positions, None, None, emit)
-
-
-def run_columnar(engine, trace, keep_records: bool, observer) -> WorkloadResult:
-    """Columnar equivalent of ``WorkloadEngine.run`` for fast-path replays."""
-    platform = engine.platform
-    if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
-        for fname in trace.functions():
-            platform.get_function(fname)
-    wall_start = time.perf_counter()
-    if keep_records:
-        if observer is None:
-            block = replay_collect(engine, trace)
-            records = block.materialize()
-            bounds = block.span_bounds()
-            span = bounds[1] - bounds[0] if bounds is not None else 0.0
-        else:
-            records = []
-            dispatch = observer.on_invocation
-            append = records.append
-
-            def emit(record):
-                dispatch(record)
-                append(record)
-
-            replay_emit(engine, trace, emit)
-            span = 0.0
-            if records:
-                span = max(r.finished_at for r in records) - min(
-                    r.submitted_at for r in records
-                )
-        wall_clock_s = time.perf_counter() - wall_start
-        return WorkloadResult(
-            provider=platform.provider,
-            records=records,
-            simulated_span_s=span,
-            wall_clock_s=wall_clock_s,
-            peak_in_flight=engine.last_peak_in_flight,
-        )
-    accumulator = _ReplayAccumulator()
-    if observer is None:
-        replay_fold(engine, trace, accumulator)
-    else:
-        dispatch = observer.on_invocation
-        fold = accumulator.add
-
-        def emit(record):
-            dispatch(record)
-            fold(record)
-
-        replay_emit(engine, trace, emit)
-    wall_clock_s = time.perf_counter() - wall_start
-    return streaming_result(
-        platform.provider,
-        accumulator,
-        wall_clock_s=wall_clock_s,
-        peak_in_flight=engine.last_peak_in_flight,
-    )

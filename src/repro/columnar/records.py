@@ -221,13 +221,3 @@ class ColumnarRecordBlock:
                 network_s,
                 1,
             )
-
-    def span_bounds(self) -> tuple[float, float] | None:
-        """(min submitted_at, max finished_at) or ``None`` when empty.
-
-        ``submitted_at`` is monotone by the engine's sort contract, so the
-        minimum is the first element; ``finished_at`` is not, so it scans.
-        """
-        if not self.submitted_at:
-            return None
-        return self.submitted_at[0], max(self.finished_at)

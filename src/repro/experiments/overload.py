@@ -59,10 +59,6 @@ class OverloadSweepPoint:
         return self.throttled / self.invocations if self.invocations else 0.0
 
     @property
-    def drop_rate(self) -> float:
-        return self.dropped / self.invocations if self.invocations else 0.0
-
-    @property
     def goodput_per_s(self) -> float:
         """Successfully executed invocations per second of simulated time."""
         if self.simulated_span_s <= 0:

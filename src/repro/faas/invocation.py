@@ -125,11 +125,6 @@ class InvocationRecord:
         """Whether the request ever ran (throttled/dropped ones did not)."""
         return self.outcome in (InvocationOutcome.COMPLETED, InvocationOutcome.FAILED)
 
-    @property
-    def platform_overhead_s(self) -> float:
-        """Client-observed overhead beyond the function's own work."""
-        return max(0.0, self.client_time_s - self.benchmark_time_s)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "function": self.function_name,

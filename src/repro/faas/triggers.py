@@ -49,10 +49,6 @@ class Trigger(abc.ABC):
     def invoke(self, payload: Mapping[str, Any] | None = None, payload_bytes: int | None = None) -> "InvocationRecord":
         """Synchronously invoke the function and return its record."""
 
-    def invoke_many(self, count: int, payload: Mapping[str, Any] | None = None) -> list["InvocationRecord"]:
-        """Invoke the function ``count`` times sequentially."""
-        return [self.invoke(payload) for _ in range(count)]
-
 
 class HTTPTrigger(Trigger):
     """Invocation through the provider's HTTP endpoint / API gateway."""

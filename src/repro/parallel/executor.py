@@ -46,11 +46,11 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ..columnar import engine as columnar
+from ..columnar.records import ColumnarRecordBlock
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
 from ..utils.rng import RandomStreams
-from ..workload.engine import WorkloadEngine, WorkloadResult, _ReplayAccumulator
+from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.scenario import Scenario
 from ..workload.trace import WorkloadTrace
 from ..workflows.engine import WorkflowEngine, fold_workflow_results
@@ -141,48 +141,24 @@ def _replay_trace_shard(
     positions = (
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
-    fast = columnar.fast_path(platform)
-    if fast and series is None:
-        # Ship the parallel arrays (record mode) or fold in the worker
-        # (streaming) instead of materialising record objects.
-        if keep_records:
-            block = columnar.replay_collect(engine, requests, positions=positions)
-            accumulator = None
-        else:
-            block = None
-            accumulator = _ReplayAccumulator()
-            columnar.replay_fold(engine, requests, accumulator, positions=positions)
-        return TraceShardOutcome(
-            shard_index=shard.index,
-            records=None,
-            accumulator=accumulator,
-            peak_in_flight=engine.last_peak_in_flight,
-            columnar=block,
-        )
-    # Record objects in stream order: the columnar loop builds them inline
-    # for a time-series builder; controlled and kernel replays run the
-    # scalar loop.
-    sink = [] if keep_records else _ReplayAccumulator()
-    add = sink.append if keep_records else sink.add
-    if series is None:
-        emit = add
-    else:
-        observe = series.observe_record
-
-        def emit(record):
-            observe(record)
-            add(record)
-
-    if fast:
-        columnar.replay_emit(engine, requests, emit, positions=positions)
-    else:
-        for record in engine.stream(requests, positions=positions):
-            emit(record)
+    outcome = engine.collect(
+        requests,
+        keep_records,
+        positions,
+        on_record=None if series is None else series.observe_record,
+    )
+    # A columnar block ships as parallel arrays; record objects (observed or
+    # controlled replays) ship as (request_index, record) pairs.
+    block = outcome if isinstance(outcome, ColumnarRecordBlock) else None
+    records = None
+    if keep_records and block is None:
+        records = [(record.request_index, record) for record in outcome]
     return TraceShardOutcome(
         shard_index=shard.index,
-        records=[(record.request_index, record) for record in sink] if keep_records else None,
-        accumulator=None if keep_records else sink,
+        records=records,
+        accumulator=None if keep_records else outcome,
         peak_in_flight=engine.last_peak_in_flight,
+        columnar=block,
         timeseries=series,
     )
 

@@ -39,7 +39,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from ..columnar import engine as columnar
 from ..config import DYNAMIC_MEMORY, DEFAULT_REGIONS, FunctionConfig, SimulationConfig
 from ..exceptions import ConfigurationError
 from ..faas.invocation import InvocationRequest
@@ -235,20 +234,15 @@ def _replay_population_shard(
     # nothing another member draws.
     deploy_population(platform, population, active, shard.seed)
     engine = WorkloadEngine(platform)
-    accumulator = _ReplayAccumulator()
     if not active:
         return TraceShardOutcome(
             shard_index=shard.index,
             records=None,
-            accumulator=accumulator,
+            accumulator=_ReplayAccumulator(),
             peak_in_flight=0,
         )
     requests = _shard_request_stream(population, shard.seed, active, arrivals)
-    if columnar.fast_path(platform):
-        columnar.replay_fold(engine, requests, accumulator)
-    else:
-        for record in engine.stream(requests):
-            accumulator.add(record)
+    accumulator = engine.collect(requests, keep_records=False)
     return TraceShardOutcome(
         shard_index=shard.index,
         records=None,

@@ -211,10 +211,9 @@ class SimulatedPlatform(FaaSPlatform):
                     base_delay_s=self._resilience.retry_base_delay_s,
                     max_delay_s=self._resilience.retry_max_delay_s,
                 )
-        #: Whether trace replay must run the controlled (event-buffering)
-        #: engine path: any of overload admission, fault injection or
-        #: client resilience is active.  The fast path stays byte-identical
-        #: to earlier releases whenever this is False.
+        #: Whether replay must run the controlled (event-buffering) loop:
+        #: any of overload admission, fault injection or client resilience
+        #: is active.  Read only by :func:`repro.columnar.engine.fast_path`.
         self._controlled_replay = (
             self._overload is not None
             or self._faults is not None
@@ -502,10 +501,18 @@ class SimulatedPlatform(FaaSPlatform):
         """Replay a time-sorted request stream through the event-queue engine.
 
         Yields one :class:`~repro.faas.invocation.InvocationRecord` per
-        request, in arrival order.  Unlike :meth:`invoke_batch`, sandboxes
-        are occupied only between their invocation's start and finish times,
-        so warm reuse and concurrency emerge from the overlap of requests.
-        See :class:`~repro.workload.engine.WorkloadEngine`.
+        request.  Without overload, faults or resilience configured, records
+        arrive in arrival order; with any of them, in *resolution* order (a
+        retried or queued request's record comes after later arrivals that
+        resolved first), and ``request_index`` restores arrival order.
+        Unlike :meth:`invoke_batch`, sandboxes are occupied only between
+        their invocation's start and finish times, so warm reuse and
+        concurrency emerge from the overlap of requests.
+
+        On the columnar loop (no overload, faults, resilience or kernel
+        execution) the stream's provider-log entries (:meth:`query_logs`)
+        land only once the stream is exhausted or closed.  See
+        :meth:`~repro.workload.engine.WorkloadEngine.stream`.
         """
         return WorkloadEngine(self).stream(requests)
 

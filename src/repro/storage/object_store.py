@@ -132,9 +132,6 @@ class ObjectStore:
             raise BucketNotFoundError(name)
         del self._buckets[name]
 
-    def has_bucket(self, name: str) -> bool:
-        return name in self._buckets
-
     def list_buckets(self) -> list[str]:
         return sorted(self._buckets)
 

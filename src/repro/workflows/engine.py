@@ -458,17 +458,16 @@ class WorkflowEngine:
         task_positions = itertools.count()
         exec_counter = iter(execution_indices) if execution_indices is not None else itertools.count()
 
-        # Under the overload model the inner engine buffers work (admission
-        # queues, retry backoff) whose eventual records schedule *new*
-        # source events — possibly earlier than this source's current next
-        # event.  Before committing to an event, the source therefore
-        # compares the engine's feedback horizon (earliest instant buffered
-        # work could emit a record) against it and yields the REPLENISH
-        # sentinel instead whenever the buffered work comes first: the
-        # engine resolves it, the records land here, and the heap re-sorts.
-        # Never needed in fast mode, where every consumed request resolves
-        # before the next pull and the horizon is always None.
-        overload_active = getattr(platform, "_controlled_replay", False)
+        # The controlled loop buffers work (admission queues, retry backoff)
+        # whose eventual records schedule *new* source events — possibly
+        # earlier than this source's current next event.  Before committing
+        # to an event, the source therefore compares the engine's feedback
+        # horizon (earliest instant buffered work could emit a record)
+        # against it and yields the REPLENISH sentinel instead whenever the
+        # buffered work comes first: the engine resolves it, the records
+        # land here, and the heap re-sorts.  The columnar loop resolves
+        # every consumed request before the next pull, so its horizon is
+        # always None and an active execution always has a pending event.
 
         def source() -> Iterator[InvocationRequest]:
             arrival_iter = iter(arrivals)
@@ -486,13 +485,12 @@ class WorkflowEngine:
                     last_submitted = nxt.submitted_at
                     self._admit(nxt, next(exec_counter), active, pending, finished)
                     nxt = next(arrival_iter, None)
-                if overload_active:
-                    horizon = inner.feedback_horizon()
-                    if horizon is not None and (not pending or horizon <= pending[0][0]):
-                        yield REPLENISH  # type: ignore[misc]
-                        continue
+                horizon = inner.feedback_horizon()
+                if horizon is not None and (not pending or horizon <= pending[0][0]):
+                    yield REPLENISH  # type: ignore[misc]
+                    continue
                 if not pending:
-                    if overload_active and active and nxt is None:
+                    if active and nxt is None:
                         # No event ready but executions are still in flight:
                         # their tasks live in the engine's buffers.
                         yield REPLENISH  # type: ignore[misc]

@@ -82,8 +82,9 @@ import itertools
 import time
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from ..columnar.records import ColumnarRecordBlock
 from ..concurrency import AdmissionQueue, QueuedInvocation
 from ..config import InvocationOutcome, Provider, StartType, TriggerType
 from ..exceptions import ConfigurationError
@@ -115,10 +116,11 @@ _SIG_FAILURE, _SIG_SUCCESS, _SIG_THROTTLE = 0, 1, 2
 #: Sentinel a *feedback* request source (the workflow engine) may yield when
 #: it has no request ready right now but more will appear once the engine
 #: resolves work it is holding internally (admission-queued tasks, pending
-#: retries).  The overload engine reacts by processing its earliest internal
+#: retries).  The controlled loop reacts by processing its earliest internal
 #: event and pulling again; the source sees the resulting records before the
-#: next pull, exactly like the ordinary feedback hand-off.  Never emitted in
-#: fast (non-overload) mode, where the engine buffers nothing.
+#: next pull, exactly like the ordinary feedback hand-off.  Never emitted to
+#: the columnar loop, which resolves every request before the next pull and
+#: buffers nothing (:meth:`WorkloadEngine.feedback_horizon` stays ``None``).
 REPLENISH = object()
 
 
@@ -737,7 +739,7 @@ class WorkloadEngine:
         self.observer = None
         #: Peak concurrency observed by the most recent stream() pass.
         self.last_peak_in_flight = 0
-        #: Set while an overload stream is active: callable returning the
+        #: Set while a controlled stream is active: callable returning the
         #: earliest trace-relative time at which buffered internal work
         #: (due retries, completions that would drain an admission queue)
         #: could emit a record.  See :meth:`feedback_horizon`.
@@ -752,7 +754,8 @@ class WorkloadEngine:
         at or before that event's time.  The source compares this horizon
         against its own next event and yields :data:`REPLENISH` instead when
         the buffered work comes first.  ``None`` whenever nothing buffered
-        can produce a record (always, in fast mode: it buffers nothing).
+        can produce a record — always while the columnar loop runs, since it
+        resolves every request before pulling the next.
         """
         fn = self._horizon_fn
         return fn() if fn is not None else None
@@ -761,6 +764,7 @@ class WorkloadEngine:
         self,
         requests: Iterable[InvocationRequest],
         positions: Iterable[int] | None = None,
+        sink: ColumnarRecordBlock | _ReplayAccumulator | None = None,
     ) -> Iterator[InvocationRecord]:
         """Replay ``requests`` lazily, yielding one record per request.
 
@@ -780,93 +784,63 @@ class WorkloadEngine:
         requests (one index per request, in consumption order); each record
         carries its request's number as ``request_index``.  Sharded replay
         passes the indices from the *unsharded* stream so merged records
-        sort back into exact arrival order.  With the overload model
-        enabled, records are yielded as their requests *resolve* — a
+        sort back into exact arrival order.  Under overload, faults or
+        resilience, records are yielded as their requests *resolve* — a
         retried or queued request's record appears after later arrivals
         that resolved first; ``request_index`` recovers arrival order.
-        """
-        if getattr(self.platform, "_controlled_replay", False):
-            return self._stream_overload(requests, positions)
-        return self._stream_fast(requests, positions)
 
-    def _stream_fast(
+        This is the one replay switch: it runs the columnar loop
+        (:func:`repro.columnar.engine._replay`) whenever
+        :func:`~repro.columnar.engine.fast_path` holds, and the controlled
+        loop (:meth:`_stream_overload`) otherwise.  ``sink`` — a
+        :class:`~repro.columnar.records.ColumnarRecordBlock` or a
+        :class:`_ReplayAccumulator` — lets the columnar loop write into it
+        instead of building record objects, and then it yields nothing.
+        The controlled loop has no sink mode and yields records regardless,
+        so a caller passing ``sink`` must still consume the stream and fold
+        what it yields (:meth:`collect` does).  The columnar loop writes its
+        provider-log entries (``query_logs``) only once the stream is
+        exhausted or closed.
+        """
+        # Lazy: repro.columnar.engine imports this module.
+        from ..columnar import engine as columnar
+
+        if columnar.fast_path(self.platform):
+            return columnar._replay(self, requests, positions, sink)
+        return self._stream_overload(requests, positions)
+
+    def collect(
         self,
         requests: Iterable[InvocationRequest],
+        keep_records: bool,
         positions: Iterable[int] | None = None,
-    ) -> Iterator[InvocationRecord]:
-        """The no-throttling hot path (admission is unconditional)."""
-        platform = self.platform
-        base = platform.clock.now()
-        sequence = itertools.count()
-        position_iter = iter(positions) if positions is not None else itertools.count()
-        # Completion events: (finish_time, tie-break, function, container_id).
-        completions: list[tuple[float, int, str, str]] = []
-        # In-flight executions per function: the concurrency the invocation
-        # model sees.  Scoped per function — not the whole-platform heap
-        # size — so one function's burst-failure behaviour depends only on
-        # its own overlap structure (explicit per-function isolation; the
-        # invariant sharded replay relies on).
-        in_flight_by_fn: dict[str, int] = {}
-        last_submitted = 0.0
-        last_finish = base
-        processed = 0
-        peak = 0
-        self.last_peak_in_flight = 0
+        on_record: Callable[[InvocationRecord], None] | None = None,
+    ) -> ColumnarRecordBlock | list[InvocationRecord] | _ReplayAccumulator:
+        """Replay ``requests`` through :meth:`stream` and gather the outcome.
 
-        try:
-            for request in requests:
-                if request.submitted_at < last_submitted:
-                    raise ConfigurationError(
-                        "workload requests must be sorted by submission time "
-                        f"({request.submitted_at:.6f} after {last_submitted:.6f})"
-                    )
-                last_submitted = request.submitted_at
-                now = base + request.submitted_at
-
-                # Release every sandbox whose invocation completed by `now`.
-                while completions and completions[0][0] <= now:
-                    _, _, done_fname, container_id = heapq.heappop(completions)
-                    platform._release_container(done_fname, container_id)
-                    in_flight_by_fn[done_fname] -= 1
-
-                platform.clock.advance_to(now)
-                in_flight = len(completions)
-                fname = request.function_name
-                fn_in_flight = in_flight_by_fn.get(fname, 0)
-                record = platform._simulate_invocation(
-                    fname,
-                    request.payload,
-                    request.trigger,
-                    request.payload_bytes,
-                    concurrency=fn_in_flight + 1,
-                    start_at=now,
-                    request_index=next(position_iter),
-                )
-                in_flight_by_fn[fname] = fn_in_flight + 1
-                heapq.heappush(
-                    completions,
-                    (record.finished_at, next(sequence), request.function_name, record.container_id),
-                )
-                if in_flight + 1 > peak:
-                    peak = in_flight + 1
-                if record.finished_at > last_finish:
-                    last_finish = record.finished_at
-
-                processed += 1
-                if processed % _PRUNE_INTERVAL == 0:
-                    self._prune_pools()
-                yield record
-
-            if last_finish > platform.clock.now():
-                platform.clock.advance_to(last_finish)
-        finally:
-            self.last_peak_in_flight = peak
-            # Return any outstanding occupancy slots (normal exhaustion: all
-            # in-flight work has finished by `last_finish`; early abandonment:
-            # the sandboxes must not stay reserved forever).
-            while completions:
-                _, _, done_fname, container_id = heapq.heappop(completions)
-                platform._release_container(done_fname, container_id)
+        Streaming mode (``keep_records=False``) returns a
+        :class:`_ReplayAccumulator`.  Record mode returns the columnar
+        :class:`~repro.columnar.records.ColumnarRecordBlock` when the
+        columnar loop filled one, and otherwise the record objects in
+        stream order.  ``on_record`` sees every record object in stream
+        order; passing it makes the columnar loop build them inline.
+        """
+        if keep_records:
+            sink = ColumnarRecordBlock()
+            records = []
+            add = records.append
+        else:
+            sink = records = _ReplayAccumulator()
+            add = sink.add
+        stream = self.stream(requests, positions, sink if on_record is None else None)
+        if on_record is None:
+            for record in stream:
+                add(record)
+        else:
+            for record in stream:
+                on_record(record)
+                add(record)
+        return sink if keep_records and len(sink) else records
 
     def _stream_overload(
         self,
@@ -1514,57 +1488,38 @@ class WorkloadEngine:
         if observer is not None:
             self.observer = observer
         observer = self.observer
-        # Lazy: repro.columnar.engine imports this module.
-        from ..columnar import engine as columnar
-
-        if columnar.fast_path(self.platform):
-            return columnar.run_columnar(self, trace, keep_records, observer)
         if isinstance(trace, (WorkloadTrace, MergedWorkloadTrace)):
             for fname in trace.functions():
                 self.platform.get_function(fname)
         wall_start = time.perf_counter()
-        if keep_records:
-            # Exact mode: materialise the records and aggregate post-hoc —
-            # no per-record estimator work on the hot path.
-            if observer is None:
-                records = list(self.stream(trace))
-            else:
-                records = []
-                dispatch = observer.on_invocation
-                append = records.append
-                for record in self.stream(trace):
-                    dispatch(record)
-                    append(record)
-            if getattr(self.platform, "_controlled_replay", False):
-                # Throttled/queued requests resolve out of arrival order;
-                # restore it so serial and sharded record lists agree (the
-                # sharded merge sorts by the same index).
-                records.sort(key=attrgetter("request_index"))
-            wall_clock_s = time.perf_counter() - wall_start
-            span = 0.0
-            if records:
-                span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
-            return WorkloadResult(
-                provider=self.platform.provider,
-                records=records,
-                simulated_span_s=span,
-                wall_clock_s=wall_clock_s,
+        outcome = self.collect(
+            trace,
+            keep_records,
+            on_record=None if observer is None else observer.on_invocation,
+        )
+        if not keep_records:
+            return streaming_result(
+                self.platform.provider,
+                outcome,
+                wall_clock_s=time.perf_counter() - wall_start,
                 peak_in_flight=self.last_peak_in_flight,
             )
-        accumulator = _ReplayAccumulator()
-        fold = accumulator.add
-        if observer is None:
-            for record in self.stream(trace):
-                fold(record)
+        if isinstance(outcome, ColumnarRecordBlock):
+            records = outcome.materialize()
         else:
-            dispatch = observer.on_invocation
-            for record in self.stream(trace):
-                dispatch(record)
-                fold(record)
+            # The controlled loop yields records as requests resolve;
+            # restore arrival order so serial and sharded record lists agree
+            # (the sharded merge sorts by the same index).
+            records = outcome
+            records.sort(key=attrgetter("request_index"))
         wall_clock_s = time.perf_counter() - wall_start
-        return streaming_result(
-            self.platform.provider,
-            accumulator,
+        span = 0.0
+        if records:
+            span = max(r.finished_at for r in records) - min(r.submitted_at for r in records)
+        return WorkloadResult(
+            provider=self.platform.provider,
+            records=records,
+            simulated_span_s=span,
             wall_clock_s=wall_clock_s,
             peak_in_flight=self.last_peak_in_flight,
         )

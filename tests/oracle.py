@@ -1,13 +1,14 @@
 """The scalar reference engine, for differential tests and benches.
 
-Every fast-path trace replay runs the columnar loop
-(:mod:`repro.columnar.engine`).  The scalar loops of
-:class:`~repro.workload.engine.WorkloadEngine` stay in the library for the
-controlled, kernel and workflow replays, and they are the oracle the
-columnar loop is proven bit-identical against.  :func:`scalar_reference`
-routes every replay inside its ``with`` block to them, on raw generators
-with no pre-drawn blocks — the engine exactly as it was before the columnar
-path existed.
+Every fast-path replay runs the columnar loop
+(:mod:`repro.columnar.engine`).  The controlled loop of
+:class:`~repro.workload.engine.WorkloadEngine` (``_stream_overload``)
+stays in the library for overload, fault, resilience and kernel replays;
+with none of them configured it is byte-identical to the columnar loop, so
+it is the oracle the columnar loop is proven bit-identical against.
+:func:`scalar_reference` routes every replay inside its ``with`` block to
+it — traces, shards, populations, workflows and ``invoke_stream`` alike —
+on raw generators with no pre-drawn blocks.
 
 Build the platform *and* replay inside the block: draw blocks are installed
 when a function's runtime state is created.  Process-backend shards fork

@@ -13,7 +13,12 @@ floats is bit equality, no tolerances):
 * provider logs, final clock, peak in-flight, simulated span;
 * observer event streams (container create/evict, per-record hooks);
 * sharded replay (``workers=2``) on both backends, where record-mode
-  shards ship columnar blocks across the process boundary.
+  shards ship columnar blocks across the process boundary;
+* workflow replays (records, streaming, ``record_sink``, ``timeseries=``
+  and ``workers=2`` on both backends), whose feedback request source feeds
+  the columnar loop one stage task at a time;
+* ``invoke_stream`` — records, clock, provider logs and warm pools, for a
+  stream run to exhaustion and for one abandoned half-way and closed.
 
 Every scenario deploys ``dynamic-html`` (no storage transfers),
 ``thumbnailer`` (2) and ``compression`` (41 reads + 1 write), so the
@@ -36,6 +41,7 @@ from hypothesis import strategies as st
 from repro.concurrency import OverloadConfig
 from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, TriggerType
 from repro.experiments.base import deploy_benchmark
+from repro.faas.platform import LogQueryType
 from repro.faults import FaultPlaneConfig, LatencyStorm, OutageWindow
 from repro.parallel import run_workload_sharded
 from repro.resilience import CircuitBreakerConfig, ResilienceConfig
@@ -48,6 +54,11 @@ from repro.workload import (
     WorkloadTrace,
 )
 from repro.workload.engine import WorkloadEngine
+from repro.workflows import (
+    merge_workflow_arrivals,
+    standard_workflow,
+    synthesize_workflow_arrivals,
+)
 
 from oracle import scalar_reference
 
@@ -336,8 +347,9 @@ class TestSharded:
             assert _stream_key(sharded) == _stream_key(serial)
 
     def test_sharded_timeseries_falls_back_scalar_identical(self):
-        """Time-series shards run the columnar loop in emit mode; their
-        merged series and streaming output equal the scalar reference's."""
+        """Time-series shards run the columnar loop yielding record objects;
+        their merged series and streaming output equal the scalar
+        reference's."""
         results = []
         for scalar in (True, False):
             with scalar_reference(scalar):
@@ -355,3 +367,184 @@ class TestSharded:
         assert json.dumps(scalar.timeseries.to_dict(), sort_keys=True) == json.dumps(
             columnar.timeseries.to_dict(), sort_keys=True
         )
+
+
+# --------------------------------------------------------------- workflows
+
+
+def _workflow_platform():
+    """AWS platform with the fanout, pipeline and branch workflows deployed."""
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=2026))
+    specs = {}
+    fnames = []
+    for name in ("fanout", "pipeline", "branch"):
+        spec, functions = standard_workflow(name, fan_out=4)
+        for function in functions:
+            deploy_benchmark(
+                platform,
+                function.benchmark,
+                memory_mb=function.memory_mb,
+                function_name=function.function_name,
+            )
+            fnames.append(function.function_name)
+        specs[name] = spec
+    return platform, specs, fnames
+
+
+def _workflow_arrivals(specs):
+    """Three function-disjoint workflows; ``branch`` takes both routes."""
+    return merge_workflow_arrivals(
+        synthesize_workflow_arrivals(specs["fanout"], PoissonArrivals(2.0), 30.0, rng=21),
+        synthesize_workflow_arrivals(
+            specs["pipeline"],
+            BurstyArrivals(on_rate_per_s=3.0, mean_on_s=3.0, mean_off_s=6.0),
+            30.0,
+            rng=22,
+        ),
+        synthesize_workflow_arrivals(
+            specs["branch"], PoissonArrivals(1.0), 30.0, rng=23, payload={"size": "small"}
+        ),
+        synthesize_workflow_arrivals(
+            specs["branch"], PoissonArrivals(0.5), 30.0, rng=24, payload={"size": "large"}
+        ),
+    )
+
+
+def _workflow_key(result):
+    """Every simulated output of a workflow replay (wall clock excluded)."""
+    return json.dumps(
+        {
+            "executions": [repr(execution) for execution in result.executions],
+            "counters": [
+                result.execution_count,
+                result.invocation_total,
+                result.cold_start_total,
+                result.failure_total,
+                result.cost_usd_total,
+                result.compute_s_total,
+                result.cold_start_s_total,
+                result.trigger_propagation_s_total,
+                result.end_to_end_s_total,
+                result.simulated_span_s,
+                result.peak_in_flight,
+            ],
+            "summaries": {name: repr(summary) for name, summary in result.summaries.items()},
+        },
+        sort_keys=True,
+    )
+
+
+def _replay_workflows_both(**kwargs):
+    """Replay the workflow mix scalar and columnar; return both outputs."""
+    outputs = []
+    for scalar in (True, False):
+        with scalar_reference(scalar):
+            platform, specs, fnames = _workflow_platform()
+            result = platform.run_workflows(_workflow_arrivals(specs), **kwargs)
+        outputs.append((result, platform, fnames))
+    return outputs
+
+
+class TestWorkflows:
+    """Workflows feed the columnar loop through a feedback request source."""
+
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_serial(self, keep_records):
+        (res_s, plat_s, fnames), (res_c, plat_c, _) = _replay_workflows_both(
+            keep_records=keep_records
+        )
+        assert res_s.invocation_total > 500
+        assert bool(res_c.executions) is keep_records
+        assert _workflow_key(res_s) == _workflow_key(res_c)
+        assert plat_s.clock.now() == plat_c.clock.now()
+        assert _logs_key(plat_s, fnames) == _logs_key(plat_c, fnames)
+
+    def test_record_sink(self):
+        sinks = ([], [])
+        outputs = []
+        for scalar, sink in zip((True, False), sinks):
+            with scalar_reference(scalar):
+                platform, specs, _ = _workflow_platform()
+                result = platform.run_workflows(
+                    _workflow_arrivals(specs), keep_records=False, record_sink=sink.append
+                )
+            outputs.append(_workflow_key(result))
+        assert outputs[0] == outputs[1]
+        assert len(sinks[0]) == result.invocation_total
+        assert [_record_key(r) for r in sinks[0]] == [_record_key(r) for r in sinks[1]]
+
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_timeseries(self, keep_records):
+        (res_s, _, _), (res_c, _, _) = _replay_workflows_both(
+            keep_records=keep_records, timeseries=5.0
+        )
+        assert _workflow_key(res_s) == _workflow_key(res_c)
+        assert json.dumps(res_s.timeseries.to_dict(), sort_keys=True) == json.dumps(
+            res_c.timeseries.to_dict(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("backend", ("sequential", "process"))
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_sharded(self, backend, keep_records):
+        (res_s, _, _), (res_c, _, _) = _replay_workflows_both(
+            keep_records=keep_records, workers=2, backend=backend
+        )
+        assert _workflow_key(res_s) == _workflow_key(res_c)
+
+
+# ------------------------------------------------------------ invoke_stream
+
+
+def _platform_state_key(platform, fnames):
+    """Clock, provider logs and live warm-pool state after a stream."""
+    pools = []
+    for fname in fnames:
+        pool = platform._state[fname].pool
+        pools.append(
+            (
+                platform.warm_container_count(fname),
+                dict(pool._in_use),
+                [
+                    (c.container_id, c.state, c.created_at, c.last_used_at, c.invocations)
+                    for c in pool.all_containers()
+                    if c.is_warm
+                ],
+            )
+        )
+    logs = [
+        [platform.query_logs(fname, query) for query in LogQueryType] for fname in fnames
+    ]
+    return platform.clock.now(), logs, _logs_key(platform, fnames), pools
+
+
+class TestInvokeStream:
+    """``invoke_stream`` runs the columnar loop lazily, record by record."""
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    @pytest.mark.parametrize(
+        "stop_after, log_retention",
+        [(None, None), (1_500, None), (1_500, 100)],
+        ids=["exhausted", "abandoned", "abandoned-retention"],
+    )
+    def test_records_and_state(self, provider, stop_after, log_retention):
+        outputs = []
+        for scalar in (True, False):
+            with scalar_reference(scalar):
+                platform, fnames = _build_platform(
+                    provider, 2026, log_retention=log_retention
+                )
+                trace = _trace(
+                    fnames, PoissonArrivals(20.0), PoissonArrivals(15.0), 60.0, TriggerType.SDK
+                )
+                stream = platform.invoke_stream(trace)
+                records = []
+                for record in stream:
+                    records.append(_record_key(record))
+                    if len(records) == stop_after:
+                        break
+                stream.close()
+            outputs.append((records, _platform_state_key(platform, fnames)))
+        (records_s, state_s), (records_c, state_c) = outputs
+        assert len(records_s) == (stop_after or len(trace))
+        assert records_s == records_c
+        assert state_s == state_c

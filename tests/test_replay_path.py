@@ -1,10 +1,12 @@
 """The one replay-path decision: which loop a replay actually runs.
 
-:func:`repro.columnar.engine.fast_path` picks the columnar loop for every
-trace replay without overload admission, fault plane, client resilience or
-kernel execution.  These tests spy on the loops themselves, so they fail if
-an entry point silently takes another path — outputs alone cannot tell,
-because both loops are bit-identical by construction.
+:meth:`repro.workload.engine.WorkloadEngine.stream` is the one switch: it
+runs the columnar loop whenever :func:`repro.columnar.engine.fast_path`
+holds (no overload admission, fault plane, client resilience or kernel
+execution) and the controlled loop otherwise.  These tests spy on the
+loops themselves, so they fail if an entry point silently takes another
+path — outputs alone cannot tell, because both loops are bit-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.resilience import ResilienceConfig
 from repro.simulator.providers import create_platform
 from repro.workload import PoissonArrivals, WorkloadTrace
 from repro.workload.engine import WorkloadEngine
+from repro.workflows import standard_workflow, synthesize_workflow_arrivals
 
 from oracle import scalar_reference
 
@@ -42,11 +45,13 @@ class _Spy:
 
 @pytest.fixture
 def loops(monkeypatch):
-    """Spies on the columnar loop and the scalar fast loop."""
+    """Spies on the columnar loop and the controlled (scalar) loop."""
     columnar = _Spy(columnar_engine._replay)
-    scalar = _Spy(WorkloadEngine._stream_fast)
+    scalar = _Spy(WorkloadEngine._stream_overload)
     monkeypatch.setattr(columnar_engine, "_replay", columnar)
-    monkeypatch.setattr(WorkloadEngine, "_stream_fast", lambda self, *a, **k: scalar(self, *a, **k))
+    monkeypatch.setattr(
+        WorkloadEngine, "_stream_overload", lambda self, *a, **k: scalar(self, *a, **k)
+    )
     return columnar, scalar
 
 
@@ -66,6 +71,24 @@ def _trace(fnames):
             for index, fname in enumerate(fnames)
         )
     )
+
+
+def _workflow_platform():
+    """Two function-disjoint workflows, so a sharded replay plans two shards."""
+    platform = create_platform(Provider.AWS, SimulationConfig(seed=7))
+    arrivals = []
+    for index, name in enumerate(("fanout", "pipeline")):
+        spec, functions = standard_workflow(name, fan_out=3)
+        for function in functions:
+            deploy_benchmark(
+                platform, function.benchmark, memory_mb=function.memory_mb,
+                function_name=function.function_name,
+            )
+        arrivals.extend(
+            synthesize_workflow_arrivals(spec, PoissonArrivals(2.0), 20.0, rng=index)
+        )
+    arrivals.sort(key=lambda arrival: arrival.submitted_at)
+    return platform, arrivals
 
 
 def _series_json(result):
@@ -135,10 +158,46 @@ class TestDefaultConfigRunsColumnar:
         assert scalar.calls == 0
 
     def test_controlled_replay_runs_scalar(self, loops):
-        columnar, _ = loops
+        columnar, scalar = loops
         platform, fnames = _platform(overload=OverloadConfig(reserved_concurrency=4))
         platform.run_workload(_trace(fnames), keep_records=False)
         assert columnar.calls == 0
+        assert scalar.calls == 1
+
+    def test_kernel_execution_runs_scalar(self, loops):
+        columnar, scalar = loops
+        platform = create_platform(Provider.AWS, SimulationConfig(seed=7), execute_kernels=True)
+        deploy_benchmark(platform, "dynamic-html", memory_mb=256, function_name="fn-a")
+        trace = WorkloadTrace.synthesize("fn-a", PoissonArrivals(2.0), duration_s=3.0, rng=0)
+        assert platform.run_workload(trace).invocations > 0
+        assert (columnar.calls, scalar.calls) == (0, 1)
+
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_run_workflows(self, loops, keep_records):
+        columnar, scalar = loops
+        platform, arrivals = _workflow_platform()
+        result = platform.run_workflows(arrivals, keep_records=keep_records)
+        assert result.invocation_total > 0
+        assert (columnar.calls, scalar.calls) == (1, 0)
+
+    @pytest.mark.parametrize("keep_records", (True, False))
+    def test_sharded_run_workflows(self, loops, keep_records):
+        columnar, scalar = loops
+        platform, arrivals = _workflow_platform()
+        result = platform.run_workflows(
+            arrivals, keep_records=keep_records, workers=2, backend="sequential"
+        )
+        assert result.invocation_total > 0
+        # One columnar loop per shard (one workflow each), never the scalar one.
+        assert (columnar.calls, scalar.calls) == (2, 0)
+
+    def test_invoke_stream(self, loops):
+        columnar, scalar = loops
+        platform, fnames = _platform()
+        stream = platform.invoke_stream(_trace(fnames))
+        assert next(stream).request_index == 0
+        stream.close()
+        assert (columnar.calls, scalar.calls) == (1, 0)
 
 
 class TestShardedTimeSeries:
@@ -180,6 +239,7 @@ class TestScalarReference:
     """The oracle the differential tier and the benches compare against."""
 
     def test_routes_to_the_scalar_loop_on_raw_generators(self, loops):
+        """The oracle runs the controlled loop, the only scalar loop left."""
         columnar, scalar = loops
         with scalar_reference():
             platform, fnames = _platform()
