@@ -21,7 +21,8 @@ Besides the printed report, the 100k target writes
 throughput, the scalar reference's throughput and the speedup over it,
 peak RSS and end-to-end latency percentiles, with the previous run's
 figures carried along as ``previous`` so the perf trajectory is tracked
-across PRs.
+across PRs.  Both throughputs are the best of ``RATIO_ROUNDS`` rounds, and
+peak RSS covers every replay of the process, the reference rounds included.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def test_workflow_replay_throughput_100k(benchmark):
     default engine, each on a freshly deployed platform, for
     ``RATIO_ROUNDS`` rounds with the order alternating between rounds.
     Every replay's simulated outputs must match exactly before any
-    throughput figure is recorded; each engine's best round is recorded,
-    and the default engine must hold >= 1.3x the reference.
+    throughput figure is recorded.  Every default round must clear the
+    absolute floor; the ratio gate compares each engine's best round, and
+    the default engine must hold >= 1.3x the reference.
     """
     simulation = SimulationConfig(seed=42, log_retention=10_000)
     spec, _ = standard_workflow("fanout", fan_out=FAN_OUT)
@@ -190,7 +192,7 @@ def test_workflow_replay_throughput_100k(benchmark):
     # Throughput floor: constituent invocations must replay within the same
     # order of magnitude as flat traces (the workflow layer adds one
     # hash-seeded generator per edge, not a new hot path).
-    assert result.throughput_per_s > 5_000.0
+    assert min(replay.throughput_per_s for replay in replays[False]) > 5_000.0
     # Ratio gate: workflows run the columnar loop, measured 1.45-1.9x the
     # scalar reference on a 2-vCPU x86-64 host.  Falling back to the scalar
     # loop would put the ratio near 1.0.

@@ -46,7 +46,6 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ..columnar.records import ColumnarRecordBlock
 from ..exceptions import CheckpointError, ConfigurationError
 from ..faas.invocation import InvocationRequest
 from ..utils.rng import RandomStreams
@@ -141,7 +140,7 @@ def _replay_trace_shard(
     positions = (
         (index for index, _ in shard.requests) if isinstance(shard, TraceShard) else None
     )
-    outcome = engine.collect(
+    block, outcome = engine.collect(
         requests,
         keep_records,
         positions,
@@ -149,7 +148,6 @@ def _replay_trace_shard(
     )
     # A columnar block ships as parallel arrays; record objects (observed or
     # controlled replays) ship as (request_index, record) pairs.
-    block = outcome if isinstance(outcome, ColumnarRecordBlock) else None
     records = None
     if keep_records and block is None:
         records = [(record.request_index, record) for record in outcome]

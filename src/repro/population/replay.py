@@ -242,7 +242,7 @@ def _replay_population_shard(
             peak_in_flight=0,
         )
     requests = _shard_request_stream(population, shard.seed, active, arrivals)
-    accumulator = engine.collect(requests, keep_records=False)
+    _, accumulator = engine.collect(requests, keep_records=False)
     return TraceShardOutcome(
         shard_index=shard.index,
         records=None,

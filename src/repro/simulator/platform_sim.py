@@ -511,7 +511,10 @@ class SimulatedPlatform(FaaSPlatform):
 
         On the columnar loop (no overload, faults, resilience or kernel
         execution) the stream's provider-log entries (:meth:`query_logs`)
-        land only once the stream is exhausted or closed.  See
+        land only once the stream is exhausted or closed.  That loop also
+        holds pool and clock state of its own between yields, so drive the
+        platform by no other call (:meth:`invoke`, :meth:`update_function`,
+        another stream) until the stream is exhausted or closed.  See
         :meth:`~repro.workload.engine.WorkloadEngine.stream`.
         """
         return WorkloadEngine(self).stream(requests)

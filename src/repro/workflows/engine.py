@@ -443,6 +443,11 @@ class WorkflowEngine:
         replay passes each arrival's index from the *unsharded* stream so
         the execution keys — which seed the per-edge trigger-delay
         generators — are identical to a serial replay.
+
+        The constituent invocations run through
+        :meth:`~repro.workload.engine.WorkloadEngine.stream`, which holds
+        pool and clock state between yields on the columnar loop: drive the
+        platform by no other call until this stream is exhausted or closed.
         """
         platform = self.platform
         base = platform.clock.now()

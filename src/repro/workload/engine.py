@@ -800,7 +800,9 @@ class WorkloadEngine:
         so a caller passing ``sink`` must still consume the stream and fold
         what it yields (:meth:`collect` does).  The columnar loop writes its
         provider-log entries (``query_logs``) only once the stream is
-        exhausted or closed.
+        exhausted or closed, and it holds pool and clock state of its own
+        between yields: drive the platform by no other call (``invoke``,
+        ``update_function``, another stream) until then.
         """
         # Lazy: repro.columnar.engine imports this module.
         from ..columnar import engine as columnar
@@ -815,24 +817,27 @@ class WorkloadEngine:
         keep_records: bool,
         positions: Iterable[int] | None = None,
         on_record: Callable[[InvocationRecord], None] | None = None,
-    ) -> ColumnarRecordBlock | list[InvocationRecord] | _ReplayAccumulator:
+    ) -> tuple[ColumnarRecordBlock | None, list[InvocationRecord] | _ReplayAccumulator]:
         """Replay ``requests`` through :meth:`stream` and gather the outcome.
 
-        Streaming mode (``keep_records=False``) returns a
-        :class:`_ReplayAccumulator`.  Record mode returns the columnar
-        :class:`~repro.columnar.records.ColumnarRecordBlock` when the
-        columnar loop filled one, and otherwise the record objects in
-        stream order.  ``on_record`` sees every record object in stream
-        order; passing it makes the columnar loop build them inline.
+        Returns ``(block, outcome)``.  Streaming mode
+        (``keep_records=False``): ``block`` is ``None`` and ``outcome`` a
+        :class:`_ReplayAccumulator`.  Record mode: either ``block`` is the
+        :class:`~repro.columnar.records.ColumnarRecordBlock` the columnar
+        loop filled and ``outcome`` is empty, or ``block`` is ``None`` and
+        ``outcome`` lists the record objects in stream order.  ``on_record``
+        sees every record object in stream order; passing it makes the
+        columnar loop build them inline.
         """
         if keep_records:
-            sink = ColumnarRecordBlock()
-            records = []
-            add = records.append
+            outcome = []
+            add = outcome.append
+            sink = ColumnarRecordBlock() if on_record is None else None
         else:
-            sink = records = _ReplayAccumulator()
-            add = sink.add
-        stream = self.stream(requests, positions, sink if on_record is None else None)
+            outcome = _ReplayAccumulator()
+            add = outcome.add
+            sink = outcome if on_record is None else None
+        stream = self.stream(requests, positions, sink)
         if on_record is None:
             for record in stream:
                 add(record)
@@ -840,7 +845,9 @@ class WorkloadEngine:
             for record in stream:
                 on_record(record)
                 add(record)
-        return sink if keep_records and len(sink) else records
+        # A loop that wrote into the block yielded no record objects.
+        block = sink if keep_records and not outcome else None
+        return block, outcome
 
     def _stream_overload(
         self,
@@ -848,6 +855,9 @@ class WorkloadEngine:
         positions: Iterable[int] | None = None,
     ) -> Iterator[InvocationRecord]:
         """The controlled replay loop (overload, faults and/or resilience).
+
+        It also runs kernel execution, and it is the scalar reference that
+        ``tests/oracle.py`` forces for the differential tier and goldens.
 
         Three event sources merge in time order without ever re-sorting the
         heap of scheduled work:
@@ -1492,7 +1502,7 @@ class WorkloadEngine:
             for fname in trace.functions():
                 self.platform.get_function(fname)
         wall_start = time.perf_counter()
-        outcome = self.collect(
+        block, outcome = self.collect(
             trace,
             keep_records,
             on_record=None if observer is None else observer.on_invocation,
@@ -1504,8 +1514,8 @@ class WorkloadEngine:
                 wall_clock_s=time.perf_counter() - wall_start,
                 peak_in_flight=self.last_peak_in_flight,
             )
-        if isinstance(outcome, ColumnarRecordBlock):
-            records = outcome.materialize()
+        if block is not None:
+            records = block.materialize()
         else:
             # The controlled loop yields records as requests resolve;
             # restore arrival order so serial and sharded record lists agree
