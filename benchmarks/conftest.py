@@ -50,6 +50,8 @@ def emit_bench_json(path, payload):
 
     The previous run's figures are carried along as ``previous`` (one
     generation, not a chain) so the perf trajectory is tracked across PRs.
+    Every record carries the ``host`` it ran on (:func:`bench_host`), since
+    a figure means little without the machine that produced it.
     Shared by every emitting target so the dance cannot drift between
     copies; ``benchmarks/check_regression.py`` consumes the output.  The
     write is atomic (tmp + rename), so an interrupted benchmark can never
@@ -66,4 +68,19 @@ def emit_bench_json(path, payload):
             previous.pop("previous", None)
         except (OSError, ValueError):
             previous = None
-    atomic_write_json(path, {**payload, "previous": previous})
+    atomic_write_json(path, {**payload, "host": bench_host(), "previous": previous})
+
+
+def bench_host() -> dict:
+    """The host a benchmark ran on, shaped like ``perfbench/run.py::host()``."""
+    import os
+    import platform
+
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "numpy": numpy.__version__,
+    }

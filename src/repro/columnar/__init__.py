@@ -10,12 +10,13 @@ runs here.  Three cooperating pieces:
   spurious), installed at runtime-state creation;
 * :mod:`repro.columnar.records` — struct-of-arrays invocation storage
   with lazy record materialisation;
-* :mod:`repro.columnar.engine` — the flat replay loop and the
+* :mod:`repro.columnar.engine` — the per-invocation lane step every
+  caller samples through, the flat replay loop and the
   :func:`~repro.columnar.engine.fast_path` predicate.
 
-Every result is bit-identical to the scalar controlled loop, which remains
-the reference: the differential tier (``tests/test_columnar_equivalence.py``)
-and the golden fixtures prove it.
+Every result is bit-identical to the frozen scalar reference in
+``tests/oracle.py``: the differential tier
+(``tests/test_columnar_equivalence.py``) and the golden fixtures prove it.
 """
 
 from .draws import BLOCK, ExponentialBlock, LognormalBlock, UniformBlock, install_draw_blocks

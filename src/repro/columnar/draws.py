@@ -1,4 +1,4 @@
-"""Pre-drawn random blocks for the columnar replay hot path.
+"""Pre-drawn random blocks for the per-invocation lane step.
 
 The scalar simulator draws from its per-function named streams one value at
 a time (``Generator.random()``, ``.lognormal()``, ``.exponential()``).  For
@@ -15,21 +15,23 @@ The fifth stream — *compute* — interleaves lognormal, uniform, exponential
 and normal draws data-dependently (jitter, storage contention, cold-start
 erratic delays, memory noise), so pre-drawing it in blocks would permute
 bit-stream consumption.  Within one invocation, though, the storage
-transfers are consecutive constant-parameter lognormals: both engines draw
-them as one ``Generator.lognormal(mean, sigma, n)`` call
+transfers are consecutive constant-parameter lognormals, drawn as one
+``Generator.lognormal(mean, sigma, n)`` call
 (:meth:`repro.storage.latency.StorageLatencyModel.invocation_time`), which
 is the same fact again at batch size ``n``.  Only the mixed-distribution
-remainder stays scalar; the columnar engine merely inlines the arithmetic
+remainder stays scalar; the lane step merely inlines the arithmetic
 around it.
 
 Each block object *wraps* the live generator of a function's runtime state
 and replaces it in place (``state.gateway_stream``, ``state.network._rng``,
-…).  Scalar code paths that still draw from the stream (the controlled
-overload/fault replay loop, direct ``platform.invoke`` calls) hit the
-parameter-checked shim methods (`random`/`lognormal`/`exponential`) and
-receive exactly the values the raw generator would have produced — which is
-how the blocks compose with the overload/fault/resilience stack without a
-second code path.
+…).  Every consumer reads a block through ``take()`` or the same inlined
+cursor: :func:`repro.columnar.engine.lane_step`, the one per-invocation
+model behind the columnar loop, the controlled loop and direct
+``invoke`` / ``invoke_batch`` calls, and the platform's sandbox
+acquisition (spurious cold starts).  The blocks have no scalar
+``random()`` / ``lognormal()`` / ``exponential()`` face: the frozen
+scalar reference in ``tests/oracle.py`` runs on the raw generators
+instead (it skips :func:`install_draw_blocks`).
 
 Batch-boundary rule: a block pre-draws up to ``BLOCK`` values, so after a
 replay the *underlying* generator sits at the next block boundary rather
@@ -42,8 +44,6 @@ block would lose draws.
 from __future__ import annotations
 
 import numpy as np
-
-from ..exceptions import ConfigurationError
 
 #: Values pre-drawn per vectorized generator call.  Large enough to
 #: amortize numpy call overhead across the hot loop, small enough that the
@@ -71,18 +71,12 @@ class UniformBlock:
         self._i = i + 1
         return values[i]
 
-    def random(self) -> float:
-        """Scalar-compatible shim for code that still calls ``.random()``."""
-        return self.take()
-
 
 class LognormalBlock:
     """Pre-drawn ``Generator.lognormal(mean, sigma)`` stream (gateway).
 
     The gateway stream only ever draws with the platform's warm-jitter
-    parameters, so they are fixed at construction; the shim rejects any
-    other parameters loudly rather than silently desynchronizing the
-    scalar and columnar paths.
+    parameters, so they are fixed at construction.
     """
 
     __slots__ = ("_rng", "_mean", "_sigma", "_values", "_i")
@@ -102,15 +96,6 @@ class LognormalBlock:
             i = 0
         self._i = i + 1
         return values[i]
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Scalar-compatible shim; parameters must match the block's."""
-        if mean != self._mean or sigma != self._sigma:
-            raise ConfigurationError(
-                "columnar lognormal block drawn with parameters "
-                f"({mean}, {sigma}) != pinned ({self._mean}, {self._sigma})"
-            )
-        return self.take()
 
 
 class ExponentialBlock:
@@ -137,14 +122,6 @@ class ExponentialBlock:
             i = 0
         self._i = i + 1
         return values[i]
-
-    def exponential(self, scale: float) -> float:
-        """Scalar-compatible shim; the scale must match the block's."""
-        if scale != self._scale:
-            raise ConfigurationError(
-                f"columnar exponential block drawn with scale {scale} != pinned {self._scale}"
-            )
-        return self.take()
 
 
 def install_draw_blocks(state, platform) -> None:

@@ -1,24 +1,28 @@
-"""The vectorized (columnar) trace-replay hot loop.
+"""The per-invocation model and the vectorized (columnar) replay loop.
 
-One flat loop replaces the scalar call stack
-(``_simulate_invocation`` → ``_simulate_reserved_invocation`` → compute /
-reliability / billing / network models) for every fast-path replay
-(:func:`fast_path`): no overload admission, no fault plane, no client
-resilience, no kernel execution.  Everything a record shares with its
-function — CPU share, jitter parameters, storage transfer bases, billing
-constants, reliability thresholds — is precomputed once per function into
-a :class:`_Lane`; per invocation only the data-dependent draws and float
-arithmetic remain.
+:func:`lane_step` is the simulator's one per-invocation model: compute
+draws, reliability check, optional kernel output, gateway / payload /
+network, latency-storm scaling, timeout and billing.  Every caller samples
+through it — the columnar loop :func:`_replay`, and
+``SimulatedPlatform._simulate_invocation``, which serves the controlled
+loop, ``invoke``, ``invoke_batch`` and hedged duplicates.  Everything an
+invocation shares with its function — CPU share, jitter parameters,
+storage transfer bases, billing constants, reliability thresholds — is
+resolved once per function version into a :class:`_Lane`
+(:func:`build_lane`); per invocation only the data-dependent draws and
+float arithmetic remain.  The scalar chain the step replaced is kept,
+frozen, in ``tests/oracle.py`` as the reference the differential tier
+(``tests/test_columnar_equivalence.py``) proves the step against.
 
-**Draw-order contract.**  The loop consumes the per-function random
-streams in exactly the scalar order:
+**Draw-order contract.**  An invocation consumes the per-function random
+streams in exactly this order:
 
 1. eviction-policy apply (own per-pool stream, delegated to the policy);
 2. spurious cold-start uniform (only when the provider's probability > 0);
 3. compute stream — jitter lognormal, contention uniform, the
    invocation's storage-transfer lognormals as **one** vectorized draw
-   (:meth:`~repro.storage.latency.StorageLatencyModel.invocation_time`,
-   shared with the scalar engine), cold-init draws (delegated to
+   (:meth:`~repro.storage.latency.StorageLatencyModel.invocation_time`),
+   cold-init draws (delegated to
    :meth:`~repro.simulator.compute.ComputeModel.cold_init_time` — the cold
    path is rare and data-dependent), memory normal;
 4. reliability stream — sporadic-OOM uniform (GCP, borderline lanes only),
@@ -26,14 +30,14 @@ streams in exactly the scalar order:
 5. gateway lognormal;
 6. network exponentials (request, then response).
 
-Streams 2, 4, 5 and 6 are served from the pre-drawn blocks installed by
+Steps 1–2 are sandbox acquisition (inlined in :func:`_replay`,
+``_acquire_container`` elsewhere); 3–6 are :func:`lane_step`.  Streams 2,
+4, 5 and 6 are served from the pre-drawn blocks installed by
 :func:`repro.columnar.draws.install_draw_blocks`.  Stream 3 is
 heterogeneous: one invocation's storage transfers are one size-``n`` draw,
 and only the mixed-distribution remainder stays scalar (see
-:mod:`repro.columnar.draws`).  Every float operation
-is replicated in the scalar path's evaluation order, so records, streaming
-summaries, provider logs, pool state and the clock are bit-identical — the
-differential tier in ``tests/test_columnar_equivalence.py`` asserts it.
+:mod:`repro.columnar.draws`).  A latency storm scales the drawn durations
+afterwards and never changes a draw count.
 
 :func:`_replay` is a generator, reached only through
 :meth:`repro.workload.engine.WorkloadEngine.stream`.  What it does with
@@ -86,6 +90,10 @@ _CS_WARM = ContainerState.WARM
 #: pool operations (pick / release re-offer).
 _LIVE = (ContainerState.WARM, ContainerState.BUSY)
 
+#: Wire size of an empty payload (``b"{}"``), the common case on trace
+#: replays, so a lane never JSON-encodes one.
+_EMPTY_PAYLOAD_BYTES = payload_wire_bytes({})
+
 #: Streaming-fold flush threshold: client-time / cost buffers fold into the
 #: per-function accumulator in batches of this size (element order inside a
 #: batch is preserved, so the fold is bit-identical to per-record adds).
@@ -98,9 +106,18 @@ _HISTORY_SLACK = 2
 
 
 class _Lane:
-    """Per-function constants and prebound hot-path callables."""
+    """Per-function constants and prebound hot-path callables.
+
+    :func:`build_lane` fills the constants :func:`lane_step` reads; a
+    platform caches that lane on the runtime state for direct invocations.
+    :func:`_replay_lane` adds the pool plumbing, provider-log buffers and
+    sink counters of one :func:`_replay` pass, on a lane of its own.
+    """
 
     __slots__ = (
+        # ---- constants (build_lane) ------------------------------------
+        # (function version, input size) the constants were resolved for.
+        "key",
         "fname",
         "benchmark",
         "version",
@@ -109,26 +126,9 @@ class _Lane:
         "package_mb",
         "timeout_s",
         "peak_memory_mb",
+        "output_bytes",
         "function",
-        # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
-        # selects the inlined base-platform path.
-        "acquire",
-        # pool / container plumbing.  The pick / reserve / finish-serve /
-        # release operations are inlined in the loop against the pool's
-        # internal structures: ``heap`` (the per-version MRU heap list),
-        # ``entry_lua`` and ``in_use`` are never rebound for the pool's
-        # lifetime; ``index`` IS rebound by ``prune()`` and is refreshed
-        # after every prune interval.
-        "pool",
-        "heap",
-        "entry_lua",
-        "in_use",
-        "index",
-        "cap",
-        "pool_add",
-        "release",
-        "next_container_id",
-        "in_flight",
+        "runtime_overhead_s",
         # compute stream (scalar draws, inlined arithmetic)
         "c_lognormal",
         "c_normal",
@@ -158,12 +158,11 @@ class _Lane:
         "sdk_base",
         "payload_denom",
         "empty_upload",
+        "response_denom",
         "response_download_s",
         "req_base",
         "resp_base",
         "net_block",
-        "sp_take",
-        "sp_p",
         # billing
         "is_vm",
         "vm_price",
@@ -175,6 +174,30 @@ class _Lane:
         "mem_gran",
         "mem_overhead",
         "statics",
+        "static_costs",
+        "storage_requests",
+        # ---- one replay pass (_replay_lane) ----------------------------
+        # Overridden sandbox acquisition (IaaS's always-warm VM); ``None``
+        # selects the inlined base-platform path.
+        "acquire",
+        # pool / container plumbing.  The pick / reserve / finish-serve /
+        # release operations are inlined in the loop against the pool's
+        # internal structures: ``heap`` (the per-version MRU heap list),
+        # ``entry_lua`` and ``in_use`` are never rebound for the pool's
+        # lifetime; ``index`` IS rebound by ``prune()`` and is refreshed
+        # after every prune interval.
+        "pool",
+        "heap",
+        "entry_lua",
+        "in_use",
+        "index",
+        "cap",
+        "pool_add",
+        "release",
+        "next_container_id",
+        "in_flight",
+        "sp_take",
+        "sp_p",
         # provider-log buffers
         "state",
         "h_pt",
@@ -194,20 +217,15 @@ class _Lane:
     )
 
 
-def _build_lane(platform, fname: str) -> _Lane:
-    """Resolve one function into a precomputed lane (first appearance)."""
-    from ..simulator.platform_sim import SimulatedPlatform
-
-    function = platform.get_function(fname)
-    state = platform._state.get(fname)
-    if state is None:
-        state = platform._runtime_state(fname)
+def build_lane(platform, function, state) -> _Lane:
+    """Resolve one function version's per-invocation constants into a lane."""
     profile = platform._profile_for(function, state)
     memory_mb = function.config.memory_mb
     performance = platform.performance
     compute = state.compute
 
     lane = _Lane()
+    lane.key = (function.version, state.input_size)
     lane.fname = function.name
     lane.benchmark = function.benchmark
     lane.version = function.version
@@ -216,28 +234,9 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.package_mb = function.package.size_mb
     lane.timeout_s = function.config.timeout_s
     lane.peak_memory_mb = profile.peak_memory_mb
+    lane.output_bytes = profile.output_bytes
     lane.function = function
-    # A platform that overrides sandbox acquisition (IaaS) keeps its own
-    # semantics: the loop calls the override per invocation instead of the
-    # inlined base path.
-    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
-        lane.acquire = None
-    else:
-        lane.acquire = platform._acquire_container
-
-    pool = state.pool
-    lane.pool = pool
-    # ``setdefault`` so the lane owns the very list ``_push`` would use; an
-    # empty heap entry for the version is what the first push would create.
-    lane.heap = pool._mru.setdefault(function.version, [])
-    lane.entry_lua = pool._entry_lua
-    lane.in_use = pool._in_use
-    lane.index = pool._index
-    lane.cap = pool.slot_capacity
-    lane.pool_add = pool.add
-    lane.release = pool.release
-    lane.next_container_id = pool.next_container_id
-    lane.in_flight = 0
+    lane.runtime_overhead_s = platform._runtime_overhead_s
 
     # Compute stream: the heterogeneous scalar stream (see module docstring).
     rng = compute._rng
@@ -259,10 +258,10 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.contention_p = storage_model.profile.contention_tail_probability
     lane.s_bases = storage_model.transfer_bases(profile, compute.effective_memory(memory_mb))
 
-    # Reliability: thresholds and draw gates, mirroring ReliabilityModel.
-    provider = platform.provider
-    enabled = platform.simulation.enable_failures
-    lane.rel_take = state.reliability._rng.take if enabled else None
+    # Reliability: the model's stream, switch and provider failure classes.
+    reliability = state.reliability
+    provider = reliability._provider
+    lane.rel_take = reliability._rng.take if reliability._enabled else None
     lane.rel_dynamic = memory_mb == DYNAMIC_MEMORY
     lane.rel_strict = provider in ReliabilityModel._STRICT_MEMORY_PROVIDERS
     lane.rel_lenient_threshold = memory_mb * 1.5
@@ -277,21 +276,16 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.http_base = invocation_profile.http_gateway_s
     lane.sdk_base = invocation_profile.sdk_overhead_s
     lane.payload_denom = invocation_profile.payload_bandwidth_mbps * 1024 * 1024
-    from ..simulator.platform_sim import _EMPTY_PAYLOAD_BYTES
-
     lane.empty_upload = _EMPTY_PAYLOAD_BYTES / lane.payload_denom
-    lane.response_download_s = profile.output_bytes / (
-        invocation_profile.response_bandwidth_mbps * 1024 * 1024
-    )
+    lane.response_denom = invocation_profile.response_bandwidth_mbps * 1024 * 1024
+    lane.response_download_s = profile.output_bytes / lane.response_denom
     network = state.network
     lane.req_base = network._request_base
     lane.resp_base = network._response_base
     lane.net_block = network._rng if network.profile.jitter_scale_s > 0 else None
-    lane.sp_p = platform._spurious_probability
-    lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
 
     # Billing constants (the static components go through the billing
-    # model's own cache so the floats are byte-for-byte the scalar path's).
+    # model's own cache so the floats are byte-for-byte BillingModel's).
     billing = platform.billing
     lane.is_vm = billing.vm_hourly_price > 0
     lane.vm_price = billing.vm_hourly_price
@@ -302,22 +296,55 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.mem_gb_const = float(memory_mb) / 1024.0
     lane.mem_gran = float(billing.memory_granularity_mb)
     lane.mem_overhead = billing.billed_memory_overhead_mb
-    storage_requests = profile.storage_read_requests + profile.storage_write_requests
+    lane.static_costs = billing._static_cost_components
+    lane.storage_requests = profile.storage_read_requests + profile.storage_write_requests
+    lane.statics = {
+        (via_http, success): _statics(lane, profile.output_bytes if success else 0, via_http)
+        for via_http in (False, True)
+        for success in (False, True)
+    }
+    return lane
+
+
+def _statics(lane: _Lane, output_bytes: int, via_http: bool) -> tuple[float, float, float]:
+    """(request, storage, egress) cost of one invocation; zero on a VM."""
     if lane.is_vm:
-        statics = {
-            (via_http, success): (0.0, 0.0, 0.0)
-            for via_http in (False, True)
-            for success in (False, True)
-        }
+        return (0.0, 0.0, 0.0)
+    return lane.static_costs(output_bytes, lane.storage_requests, via_http)
+
+
+def _replay_lane(platform, fname: str) -> _Lane:
+    """A fresh lane for one :func:`_replay` pass (first appearance)."""
+    from ..simulator.platform_sim import SimulatedPlatform
+
+    function = platform.get_function(fname)
+    state = platform._state.get(fname)
+    if state is None:
+        state = platform._runtime_state(fname)
+    lane = build_lane(platform, function, state)
+    # A platform that overrides sandbox acquisition (IaaS) keeps its own
+    # semantics: the loop calls the override per invocation instead of the
+    # inlined base path.
+    if type(platform)._acquire_container is SimulatedPlatform._acquire_container:
+        lane.acquire = None
     else:
-        statics = {
-            (via_http, success): billing._static_cost_components(
-                profile.output_bytes if success else 0, storage_requests, via_http
-            )
-            for via_http in (False, True)
-            for success in (False, True)
-        }
-    lane.statics = statics
+        lane.acquire = platform._acquire_container
+
+    pool = state.pool
+    lane.pool = pool
+    # ``setdefault`` so the lane owns the very list ``_push`` would use; an
+    # empty heap entry for the version is what the first push would create.
+    lane.heap = pool._mru.setdefault(function.version, [])
+    lane.entry_lua = pool._entry_lua
+    lane.in_use = pool._in_use
+    lane.index = pool._index
+    lane.cap = pool.slot_capacity
+    lane.pool_add = pool.add
+    lane.release = pool.release
+    lane.next_container_id = pool.next_container_id
+    lane.in_flight = 0
+    lane.sp_p = platform._spurious_probability
+    lane.sp_take = state.spurious_stream.take if lane.sp_p > 0 else None
 
     # Provider-log buffers (materialised into state.history after the loop).
     lane.state = state
@@ -336,6 +363,231 @@ def _build_lane(platform, fname: str) -> _Lane:
     lane.cost_buf = []
     lane.client_buf = []
     return lane
+
+
+def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload, payload_bytes,
+              scale, kernel):
+    """Sample one invocation on an acquired, reserved sandbox of ``lane``.
+
+    The one per-invocation model: compute draws, reliability check,
+    optional kernel output, gateway / payload / network, storm scaling,
+    timeout and billing, in the draw order of the module docstring.
+    ``scale`` is the fault plane's active storm pair ``(compute, network)``
+    or ``None``; it multiplies the already-drawn durations, so a storm never
+    changes a draw count.  ``kernel`` is ``None`` unless the platform
+    executes kernels; then ``kernel(function, payload)`` returns the real
+    ``(output, output_bytes)`` of a non-empty, non-failed request.
+
+    Returns ``(benchmark_time_s, provider_time_s, client_time_s,
+    invocation_overhead_s, cold_init_s, memory_used_mb, error,
+    billed_duration_s, compute_cost, (request, storage, egress) costs,
+    kernel output or None, output_bytes)``; the invocation succeeded iff
+    ``error`` is ``None``.
+    """
+    # ---- compute sample: jittered CPU work, storage transfers, cold init,
+    # memory noise ----------------------------------------------------------
+    jit = lane.jit_conc if concurrency > 1 else lane.jit_solo
+    if jit is None:
+        compute_t = lane.compute_base
+    else:
+        compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
+    contention = lane.sto_random() < lane.contention_p
+    storage_t = lane.sto_time(lane.s_bases, contention) if lane.s_bases else 0.0
+    benchmark_time = compute_t + storage_t
+    if cold:
+        cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)
+    else:
+        cold_init_s = 0.0
+    memory_used = float(
+        max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(loc=1.0, scale=0.03)))
+    )
+
+    # ---- reliability: strict-memory providers kill any overshoot and,
+    # within 10% of the peak, 5% sporadically; the others only beyond 1.5x.
+    # Bursts of >= 10 fail 1% on GCP (60% at >= 4 GB and >= 50) and 2% on
+    # Azure ------------------------------------------------------------------
+    error = None
+    rel_take = lane.rel_take
+    if rel_take is not None:
+        if not lane.rel_dynamic:
+            if lane.rel_strict:
+                if memory_used > lane.memory_mb:
+                    error = "out-of-memory"
+                elif lane.rel_borderline and rel_take() < 0.05:
+                    error = "out-of-memory"
+            elif memory_used > lane.rel_lenient_threshold:
+                error = "out-of-memory"
+        if error is None and lane.rel_burst and concurrency >= 10:
+            if lane.rel_gcp:
+                probability = 0.6 if (lane.rel_highmem and concurrency >= 50) else 0.01
+            else:
+                probability = 0.02
+            if rel_take() < probability:
+                error = "unavailable"
+
+    # ---- kernel output (execute_kernels only) ----------------------------
+    if kernel is not None and payload and error is None:
+        output, output_bytes = kernel(lane.function, payload)
+        response_download_s = output_bytes / lane.response_denom
+    else:
+        output = None
+        output_bytes = lane.output_bytes
+        response_download_s = lane.response_download_s
+
+    # ---- gateway / payload / network -------------------------------------
+    # Inlined LognormalBlock.take (gateway stream).
+    gw = lane.gw_block
+    gi = gw._i
+    gv = gw._values
+    if gi == len(gv):
+        gv = gw._values = gw._rng.lognormal(gw._mean, gw._sigma, _BLOCK).tolist()
+        gi = 0
+    gw._i = gi + 1
+    gateway = (lane.http_base if via_http else lane.sdk_base) * gv[gi]
+    if payload_bytes is not None:
+        payload_upload_s = payload_bytes / lane.payload_denom
+    elif payload:
+        payload_upload_s = payload_wire_bytes(payload) / lane.payload_denom
+    else:
+        payload_upload_s = lane.empty_upload
+    nb = lane.net_block
+    if nb is not None:
+        # Inlined ExponentialBlock.take ×2 (request, then response).
+        ni = nb._i
+        nv = nb._values
+        if ni == len(nv):
+            nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
+            ni = 0
+        request_network_s = lane.req_base + nv[ni]
+        ni += 1
+        if ni == len(nv):
+            nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
+            ni = 0
+        response_network_s = lane.resp_base + nv[ni]
+        nb._i = ni + 1
+    else:
+        request_network_s = lane.req_base + 0.0
+        response_network_s = lane.resp_base + 0.0
+
+    if scale is not None:
+        # A latency storm scales the drawn durations: compute work and
+        # sandbox init by the compute multiplier, every wire segment by the
+        # network multiplier.
+        compute_scale, network_scale = scale
+        benchmark_time *= compute_scale
+        cold_init_s *= compute_scale
+        gateway *= network_scale
+        payload_upload_s *= network_scale
+        response_download_s *= network_scale
+        request_network_s *= network_scale
+        response_network_s *= network_scale
+
+    invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
+
+    if error is not None:
+        benchmark_time_s = 0.0
+        provider_time_s = lane.runtime_overhead_s
+    else:
+        benchmark_time_s = benchmark_time
+        provider_time_s = benchmark_time_s + lane.runtime_overhead_s
+    client_time_s = (
+        invocation_overhead_s + provider_time_s + response_download_s + response_network_s
+    )
+    if error is None and provider_time_s > lane.timeout_s:
+        error = "timeout"
+        provider_time_s = lane.timeout_s
+        client_time_s = invocation_overhead_s + provider_time_s + response_network_s
+
+    # ---- billing (BillingModel) ------------------------------------------
+    # Inlined round_up(max(provider_time_s, min_billed), granularity): snap
+    # to the nearest multiple when within float tolerance, else round up —
+    # op-for-op repro.utils.units.round_up.
+    v = provider_time_s if provider_time_s > lane.min_billed else lane.min_billed
+    q = v / lane.granularity
+    nearest = round(q)
+    if math.isclose(q, nearest, rel_tol=1e-12, abs_tol=1e-12):
+        snapped = nearest * lane.granularity
+        if snapped >= v - 1e-9:
+            billed_duration_s = snapped
+        else:
+            billed_duration_s = math.ceil(q) * lane.granularity
+    else:
+        billed_duration_s = math.ceil(q) * lane.granularity
+    if lane.is_vm:
+        compute_cost = provider_time_s / 3600.0 * lane.vm_price
+    elif lane.bills_avg:
+        measured = max(memory_used, 1.0) + lane.mem_overhead
+        compute_cost = (
+            billed_duration_s * (round_up(measured, lane.mem_gran) / 1024.0) * lane.gb_price
+        )
+    else:
+        compute_cost = billed_duration_s * lane.mem_gb_const * lane.gb_price
+    if output is None:
+        statics = lane.statics[(via_http, error is None)]
+    else:
+        statics = _statics(lane, output_bytes if error is None else 0, via_http)
+    return (
+        benchmark_time_s,
+        provider_time_s,
+        client_time_s,
+        invocation_overhead_s,
+        cold_init_s,
+        memory_used,
+        error,
+        billed_duration_s,
+        compute_cost,
+        statics,
+        output,
+        output_bytes,
+    )
+
+
+def lane_record(
+    lane: _Lane, provider, start_type, sample: tuple, container_id: str, submitted_at: float,
+    request_index: int,
+) -> InvocationRecord:
+    """The record of one :func:`lane_step` ``sample`` submitted at ``submitted_at``."""
+    (
+        benchmark_time_s,
+        provider_time_s,
+        client_time_s,
+        invocation_overhead_s,
+        cold_init_s,
+        memory_used_mb,
+        error,
+        billed_duration_s,
+        compute_cost,
+        (request_cost, storage_cost, egress_cost),
+        output,
+        output_bytes,
+    ) = sample
+    success = error is None
+    return InvocationRecord(
+        function_name=lane.fname,
+        benchmark=lane.benchmark,
+        provider=provider,
+        start_type=start_type,
+        success=success,
+        benchmark_time_s=benchmark_time_s,
+        provider_time_s=provider_time_s,
+        client_time_s=client_time_s,
+        invocation_overhead_s=invocation_overhead_s,
+        cold_init_s=cold_init_s,
+        memory_declared_mb=lane.memory_mb,
+        memory_used_mb=memory_used_mb,
+        billed_duration_s=billed_duration_s,
+        cost=CostBreakdown(request_cost, compute_cost, storage_cost, egress_cost),
+        output_bytes=output_bytes,
+        container_id=container_id,
+        submitted_at=submitted_at,
+        started_at=submitted_at + invocation_overhead_s,
+        finished_at=submitted_at + client_time_s,
+        error=error,
+        output={} if output is None else output,
+        outcome=_COMPLETED if success else _FAILED,
+        admitted_at=submitted_at,
+        request_index=request_index,
+    )
 
 
 def _jitter_params(cv: float) -> tuple[float, float] | None:
@@ -431,7 +683,6 @@ def _replay(
     provider = platform.provider
     apply_eviction = platform.eviction_policy.apply
     observer = platform._observer
-    runtime_overhead_s = platform._runtime_overhead_s
     states = platform._state
 
     position_iter = iter(positions) if positions is not None else itertools.count()
@@ -446,8 +697,6 @@ def _replay(
     completions: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    isclose = math.isclose
-    ceil = math.ceil
     seq = 0
     last_submitted = 0.0
     last_finish = base
@@ -520,7 +769,7 @@ def _replay(
             fname = request.function_name
             lane = lanes.get(fname)
             if lane is None:
-                lane = lanes[fname] = _build_lane(platform, fname)
+                lane = lanes[fname] = _replay_lane(platform, fname)
                 if record_mode:
                     lane.lane_idx = block.add_lane(
                         LaneMeta(
@@ -597,132 +846,27 @@ def _replay(
             in_use[container_id] = in_use.get(container_id, 0) + 1
 
             concurrency = lane.in_flight + 1
-
-            # ---- compute sample (scalar: ComputeModel.execute) -----------
-            jit = lane.jit_conc if concurrency > 1 else lane.jit_solo
-            if jit is None:
-                compute_t = lane.compute_base
-            else:
-                compute_t = lane.compute_base * float(lane.c_lognormal(jit[0], jit[1]))
-            contention = lane.sto_random() < lane.contention_p
-            storage_t = lane.sto_time(lane.s_bases, contention) if lane.s_bases else 0.0
-            benchmark_time = compute_t + storage_t
-            if cold:
-                cold_init_s = lane.cold_init_time(lane.profile, lane.memory_mb, lane.package_mb)
-            else:
-                cold_init_s = 0.0
-            memory_used = float(
-                max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(loc=1.0, scale=0.03)))
-            )
-
-            # ---- reliability check (scalar: ReliabilityModel.check) ------
-            error = None
-            rel_take = lane.rel_take
-            if rel_take is not None:
-                if not lane.rel_dynamic:
-                    if lane.rel_strict:
-                        if memory_used > lane.memory_mb:
-                            error = "out-of-memory"
-                        elif lane.rel_borderline and rel_take() < 0.05:
-                            error = "out-of-memory"
-                    elif memory_used > lane.rel_lenient_threshold:
-                        error = "out-of-memory"
-                if error is None and lane.rel_burst and concurrency >= 10:
-                    if lane.rel_gcp:
-                        probability = 0.6 if (lane.rel_highmem and concurrency >= 50) else 0.01
-                    else:
-                        probability = 0.02
-                    if rel_take() < probability:
-                        error = "unavailable"
-
-            # ---- gateway / payload / network (scalar: reserved-invocation)
             via_http = request.trigger is _HTTP
-            # Inlined LognormalBlock.take (gateway stream).
-            gw = lane.gw_block
-            gi = gw._i
-            gv = gw._values
-            if gi == len(gv):
-                gv = gw._values = gw._rng.lognormal(gw._mean, gw._sigma, _BLOCK).tolist()
-                gi = 0
-            gw._i = gi + 1
-            gateway = (lane.http_base if via_http else lane.sdk_base) * gv[gi]
-            payload_bytes = request.payload_bytes
-            if payload_bytes is not None:
-                payload_upload_s = payload_bytes / lane.payload_denom
-            elif request.payload:
-                payload_upload_s = payload_wire_bytes(request.payload) / lane.payload_denom
-            else:
-                payload_upload_s = lane.empty_upload
-            nb = lane.net_block
-            if nb is not None:
-                # Inlined ExponentialBlock.take ×2 (request, then response).
-                ni = nb._i
-                nv = nb._values
-                if ni == len(nv):
-                    nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
-                    ni = 0
-                request_network_s = lane.req_base + nv[ni]
-                ni += 1
-                if ni == len(nv):
-                    nv = nb._values = nb._rng.exponential(nb._scale, _BLOCK).tolist()
-                    ni = 0
-                response_network_s = lane.resp_base + nv[ni]
-                nb._i = ni + 1
-            else:
-                request_network_s = lane.req_base + 0.0
-                response_network_s = lane.resp_base + 0.0
-
-            invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
-
-            if error is not None:
-                benchmark_time_s = 0.0
-                provider_time_s = runtime_overhead_s
-                success = False
-            else:
-                benchmark_time_s = benchmark_time
-                provider_time_s = benchmark_time_s + runtime_overhead_s
-                success = True
-
-            client_time_s = (
-                invocation_overhead_s
-                + provider_time_s
-                + lane.response_download_s
-                + response_network_s
+            sample = lane_step(
+                lane, cold, concurrency, via_http, request.payload, request.payload_bytes,
+                None, None,
             )
-
-            if success and provider_time_s > lane.timeout_s:
-                success = False
-                error = "timeout"
-                provider_time_s = lane.timeout_s
-                client_time_s = invocation_overhead_s + provider_time_s + response_network_s
-
-            # ---- billing (scalar: BillingModel) --------------------------
-            # Inlined round_up(max(provider_time_s, min_billed), granularity):
-            # snap to the nearest multiple when within float tolerance, else
-            # round up — op-for-op repro.utils.units.round_up.
-            v = provider_time_s if provider_time_s > lane.min_billed else lane.min_billed
-            q = v / lane.granularity
-            nearest = round(q)
-            if isclose(q, nearest, rel_tol=1e-12, abs_tol=1e-12):
-                snapped = nearest * lane.granularity
-                if snapped >= v - 1e-9:
-                    billed_duration_s = snapped
-                else:
-                    billed_duration_s = ceil(q) * lane.granularity
-            else:
-                billed_duration_s = ceil(q) * lane.granularity
-            if lane.is_vm:
-                compute_cost = provider_time_s / 3600.0 * lane.vm_price
-            elif lane.bills_avg:
-                measured = max(memory_used, 1.0) + lane.mem_overhead
-                compute_cost = (
-                    billed_duration_s
-                    * (round_up(measured, lane.mem_gran) / 1024.0)
-                    * lane.gb_price
-                )
-            else:
-                compute_cost = billed_duration_s * lane.mem_gb_const * lane.gb_price
-            request_cost, storage_cost, egress_cost = lane.statics[(via_http, success)]
+            (
+                benchmark_time_s,
+                provider_time_s,
+                client_time_s,
+                invocation_overhead_s,
+                cold_init_s,
+                memory_used,
+                error,
+                billed_duration_s,
+                compute_cost,
+                statics,
+                _,
+                _,
+            ) = sample
+            success = error is None
+            request_cost, storage_cost, egress_cost = statics
             cost_total = request_cost + compute_cost + storage_cost + egress_cost
 
             # ---- completion bookkeeping ----------------------------------
@@ -801,35 +945,9 @@ def _replay(
                 if len(lane.client_buf) >= _FOLD_BATCH:
                     _flush_lane(lane)
             else:
-                yield InvocationRecord(
-                    function_name=lane.fname,
-                    benchmark=lane.benchmark,
-                    provider=provider,
-                    start_type=_COLD if cold else _WARM,
-                    success=success,
-                    benchmark_time_s=benchmark_time_s,
-                    provider_time_s=provider_time_s,
-                    client_time_s=client_time_s,
-                    invocation_overhead_s=invocation_overhead_s,
-                    cold_init_s=cold_init_s,
-                    memory_declared_mb=lane.memory_mb,
-                    memory_used_mb=memory_used,
-                    billed_duration_s=billed_duration_s,
-                    cost=CostBreakdown(
-                        request_cost=request_cost,
-                        compute_cost=compute_cost,
-                        storage_cost=storage_cost,
-                        egress_cost=egress_cost,
-                    ),
-                    output_bytes=lane.profile.output_bytes,
-                    container_id=container_id,
-                    submitted_at=now,
-                    started_at=now + invocation_overhead_s,
-                    finished_at=finished_at,
-                    error=error,
-                    outcome=_COMPLETED if success else _FAILED,
-                    admitted_at=now,
-                    request_index=request_index,
+                yield lane_record(
+                    lane, provider, _COLD if cold else _WARM, sample, container_id, now,
+                    request_index,
                 )
 
             processed += 1

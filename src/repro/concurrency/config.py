@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ..config import reject_nan
 from ..exceptions import ConfigurationError
 from .retry import RETRY_POLICY_NAMES
 
@@ -65,6 +66,7 @@ class OverloadConfig:
     admission_max_age_s: float | None = 60.0
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         for name, value in (
             ("reserved_concurrency", self.reserved_concurrency),
             ("account_concurrency", self.account_concurrency),

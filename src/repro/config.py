@@ -10,7 +10,7 @@ configurations can be hashed, compared and used as cache keys.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .exceptions import ConfigurationError
@@ -130,6 +130,18 @@ PERF_COST_MEMORY_SIZES: Mapping[Provider, tuple[int, ...]] = {
 
 #: Sentinel memory value meaning "dynamically allocated" (Azure).
 DYNAMIC_MEMORY = 0
+
+
+def reject_nan(config: Any) -> None:
+    """Raise :class:`ConfigurationError` if a float field of ``config`` is NaN.
+
+    Every range check of a policy dataclass is a comparison, and every
+    comparison with NaN is false, so a NaN would otherwise slip past them.
+    """
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if isinstance(value, float) and value != value:
+            raise ConfigurationError(f"{type(config).__name__}.{spec.name} must not be NaN")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ whole deployment (a region-wide event).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from ..config import reject_nan
 from ..exceptions import ConfigurationError
 
 #: Accepted outage behaviours: ``fail-fast`` turns every invocation attempt
@@ -45,8 +47,9 @@ class OutageWindow:
     functions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ConfigurationError("outage start_s must be non-negative")
+        reject_nan(self)
+        if not 0 <= self.start_s < math.inf:
+            raise ConfigurationError("outage start_s must be finite and non-negative")
         if self.duration_s <= 0:
             raise ConfigurationError("outage duration_s must be positive")
         if self.mode not in OUTAGE_MODES:
@@ -77,8 +80,9 @@ class ContainerCrash:
     survive_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ConfigurationError("crash at_s must be non-negative")
+        reject_nan(self)
+        if not 0 <= self.at_s < math.inf:
+            raise ConfigurationError("crash at_s must be finite and non-negative")
         if not 0.0 <= self.survive_fraction < 1.0:
             raise ConfigurationError("survive_fraction must lie in [0, 1)")
 
@@ -106,12 +110,14 @@ class LatencyStorm:
     functions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ConfigurationError("storm start_s must be non-negative")
+        reject_nan(self)
+        if not 0 <= self.start_s < math.inf:
+            raise ConfigurationError("storm start_s must be finite and non-negative")
         if self.duration_s <= 0:
             raise ConfigurationError("storm duration_s must be positive")
-        if self.compute_multiplier <= 0 or self.network_multiplier <= 0:
-            raise ConfigurationError("storm multipliers must be positive")
+        for multiplier in (self.compute_multiplier, self.network_multiplier):
+            if not 0 < multiplier < math.inf:
+                raise ConfigurationError("storm multipliers must be finite and positive")
 
     def applies_to(self, fname: str) -> bool:
         return self.functions is None or fname in self.functions
@@ -143,8 +149,9 @@ class FaultPlaneConfig:
     boundary_jitter_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.boundary_jitter_s < 0:
-            raise ConfigurationError("boundary_jitter_s must be non-negative")
+        reject_nan(self)
+        if not 0 <= self.boundary_jitter_s < math.inf:
+            raise ConfigurationError("boundary_jitter_s must be finite and non-negative")
         if not (self.outages or self.crashes or self.storms):
             raise ConfigurationError(
                 "a FaultPlaneConfig needs at least one outage, crash or storm "

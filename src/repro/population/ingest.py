@@ -40,6 +40,9 @@ from ..workload.scenario import FunctionTraffic, Scenario
 from .profiles import SEBS_PROFILES, AppProfile
 from .spec import FunctionRecipe, PopulationArrivals
 
+#: Largest per-minute count the int64 count matrix holds.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
 #: Azure trace ``Trigger`` column values mapped onto simulator trigger types;
 #: unknown values fall back to HTTP.
 TRIGGER_MAP: Mapping[str, TriggerType] = {
@@ -243,7 +246,7 @@ class TraceIngest:
                     break
                 if not row:
                     continue
-                if len(row) < len(header):
+                if len(row) != len(header):
                     raise ConfigurationError(
                         f"trace file {path} row {row_number + 2} has "
                         f"{len(row)} fields, expected {len(header)}"
@@ -257,13 +260,7 @@ class TraceIngest:
                 function_names.append(f"az-{len(rows):05d}-{fn[:8]}")
                 raw_trigger = row[trigger_col].strip().lower() if trigger_col is not None else ""
                 triggers.append(TRIGGER_MAP.get(raw_trigger, TriggerType.HTTP))
-                try:
-                    rows.append([int(float(row[i])) for i in minute_cols])
-                except ValueError as error:
-                    raise ConfigurationError(
-                        f"trace file {path} row {row_number + 2} has a "
-                        f"non-numeric invocation count: {error}"
-                    ) from None
+                rows.append([_minute_count(row[i], path, row_number + 2) for i in minute_cols])
         if not rows:
             raise ConfigurationError(f"trace file {path} has no data rows")
         return IngestedPopulation(
@@ -275,6 +272,20 @@ class TraceIngest:
             counts=np.asarray(rows, dtype=np.int64),
             profiles=profiles,
         )
+
+
+def _minute_count(cell: str, path: Path, line: int) -> int:
+    """One per-minute invocation count: a non-negative integer that fits int64."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = float("nan")
+    if not (value.is_integer() and 0 <= value <= _MAX_COUNT):
+        raise ConfigurationError(
+            f"trace file {path} row {line} has invocation count {cell!r}; expected a "
+            "non-negative integer (non-numeric, fractional and out-of-range counts are rejected)"
+        )
+    return int(value)
 
 
 def summarize_population(population: Any, seed: int) -> dict[str, Any]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..concurrency.retry import RETRY_POLICY_NAMES
+from ..config import reject_nan
 from ..exceptions import ConfigurationError
 
 
@@ -52,6 +53,7 @@ class CircuitBreakerConfig:
     half_open_probes: int = 3
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.window < 1:
             raise ConfigurationError("breaker window must be at least 1")
         if not 1 <= self.min_calls <= self.window:
@@ -84,6 +86,7 @@ class HedgeConfig:
     delay_s: float
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.delay_s <= 0:
             raise ConfigurationError("hedge delay_s must be positive")
 
@@ -135,6 +138,7 @@ class ResilienceConfig:
     stale_after_s: float | None = None
 
     def __post_init__(self) -> None:
+        reject_nan(self)
         if self.retry_policy not in RETRY_POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown retry policy {self.retry_policy!r}; "

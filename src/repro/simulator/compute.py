@@ -15,11 +15,15 @@ the three durations SeBS measures for every invocation:
 * **memory consumption** — the kernel's peak memory with a small amount of
   per-invocation noise (which is what makes borderline allocations fail
   occasionally on GCP).
+
+The per-invocation draws live in one place,
+:func:`repro.columnar.engine.lane_step`; this model supplies what the step
+resolves once per function (the CPU share, the effective memory, the
+storage model) and the cold-start draw it delegates
+(:meth:`ComputeModel.cold_init_time`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +34,8 @@ from ..storage.latency import StorageLatencyModel
 from .profiles import ProviderPerformanceProfile
 
 
-@dataclass(frozen=True)
-class ExecutionSample:
-    """One simulated execution of a benchmark inside a sandbox."""
-
-    benchmark_time_s: float
-    compute_time_s: float
-    storage_time_s: float
-    cold_init_s: float
-    memory_used_mb: float
-
-
 class ComputeModel:
-    """Derives execution durations from work profiles and configurations."""
+    """Per-function compute stream, CPU share and cold-start model."""
 
     def __init__(
         self,
@@ -86,30 +79,6 @@ class ComputeModel:
             sigma = self._sigma_cache[cv] = float(np.sqrt(np.log(1.0 + cv**2)))
         return float(self._rng.lognormal(mean=-sigma**2 / 2.0, sigma=sigma))
 
-    def compute_time(self, profile: WorkProfile, memory_mb: int, concurrent: bool = False) -> float:
-        """CPU portion of the benchmark time under ``memory_mb``."""
-        performance = self._performance
-        share = self.cpu_share(memory_mb)
-        base = profile.warm_compute_s * performance.compute_speed_factor / share
-        cv = performance.compute_jitter_cv
-        if concurrent:
-            cv *= performance.concurrency_jitter_factor
-        return base * self._jitter(cv)
-
-    def storage_time(self, profile: WorkProfile, memory_mb: int) -> float:
-        """Persistent-storage portion of the benchmark time.
-
-        A contention event (a co-located function saturating the server NIC)
-        is drawn once per invocation and applied to every transfer, which is
-        what turns long, storage-heavy invocations into stragglers.  The
-        transfers' jitters are then one vectorized draw (see
-        :meth:`~repro.storage.latency.StorageLatencyModel.invocation_time`).
-        """
-        storage = self._storage_model
-        contention = storage.draw_contention()
-        bases = storage.transfer_bases(profile, self.effective_memory(memory_mb))
-        return storage.invocation_time(bases, contention) if bases else 0.0
-
     def cold_init_time(self, profile: WorkProfile, memory_mb: int, code_package_mb: float) -> float:
         """Cold-start latency: provisioning + package fetch + runtime init."""
         performance = self._performance
@@ -123,28 +92,3 @@ class ComputeModel:
         if cold.erratic_probability > 0 and self._rng.random() < cold.erratic_probability:
             erratic = float(self._rng.exponential(cold.erratic_scale_s))
         return provisioning + package_fetch + runtime_init + penalty + erratic
-
-    def memory_used(self, profile: WorkProfile) -> float:
-        """Peak memory of one invocation with small measurement noise."""
-        noise = self._rng.normal(loc=1.0, scale=0.03)
-        return float(max(1.0, profile.peak_memory_mb * max(0.85, noise)))
-
-    def execute(
-        self,
-        profile: WorkProfile,
-        memory_mb: int,
-        cold: bool,
-        code_package_mb: float,
-        concurrent: bool = False,
-    ) -> ExecutionSample:
-        """Produce all durations of one invocation."""
-        compute = self.compute_time(profile, memory_mb, concurrent)
-        storage = self.storage_time(profile, memory_mb)
-        cold_init = self.cold_init_time(profile, memory_mb, code_package_mb) if cold else 0.0
-        return ExecutionSample(
-            benchmark_time_s=compute + storage,
-            compute_time_s=compute,
-            storage_time_s=storage,
-            cold_init_s=cold_init,
-            memory_used_mb=self.memory_used(profile),
-        )

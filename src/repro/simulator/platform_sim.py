@@ -50,9 +50,10 @@ from ..exceptions import (
 from ..faas.billing import BillingModel, CostBreakdown, billing_model_for
 from ..faas.function import CodePackage, DeployedFunction
 from ..columnar.draws import install_draw_blocks
+from ..columnar.engine import build_lane, lane_record, lane_step
 from ..faults.plane import build_fault_state
 from ..resilience.breaker import CircuitBreaker
-from ..faas.invocation import InvocationRecord, InvocationRequest, payload_wire_bytes
+from ..faas.invocation import InvocationRecord, InvocationRequest
 from ..faas.platform import FaaSPlatform, LogQueryType
 from ..workload.engine import WorkloadEngine, WorkloadResult
 from ..workload.trace import WorkloadTrace
@@ -64,12 +65,6 @@ from .containers import Container, ContainerPool
 from .eviction import EvictionPolicy
 from .profiles import ProviderPerformanceProfile, profile_for
 from .reliability import ReliabilityModel
-
-#: Size of the UTF-8 encoding of an empty JSON payload (``b"{}"``) — the
-#: overwhelmingly common case on trace replays, special-cased to avoid a
-#: json.dumps round trip per request.
-_EMPTY_PAYLOAD_BYTES = len(json.dumps({}).encode("utf-8"))
-
 
 @dataclass
 class _LogEntry:
@@ -131,6 +126,10 @@ class _FunctionRuntimeState:
     #: (``(seed, "client-retry", fname)``) — separate from the 429 retry
     #: stream so enabling one layer never shifts the other's draws.
     client_retry_stream: Any = None
+    #: Per-invocation constants of :meth:`SimulatedPlatform._simulate_invocation`
+    #: (:func:`repro.columnar.engine.build_lane`), rebuilt when the function
+    #: version or the input size changes.
+    lane: Any = None
 
 
 class SimulatedPlatform(FaaSPlatform):
@@ -171,9 +170,9 @@ class SimulatedPlatform(FaaSPlatform):
         )
         self.eviction_policy: EvictionPolicy = self._build_eviction_policy()
 
-        # Hot-path invariants hoisted out of _simulate_invocation: profile
-        # scalars (the per-function stream handles live on the runtime
-        # state, hoisted the same way).
+        # Profile scalars the lanes (repro.columnar.engine.build_lane) and
+        # the draw blocks read; the per-function streams live on the
+        # runtime state.
         self._spurious_probability = self.performance.spurious_cold_start_probability
         self._invocation_profile = self.performance.invocation
         self._runtime_overhead_s = self.performance.runtime_overhead_s
@@ -851,7 +850,7 @@ class SimulatedPlatform(FaaSPlatform):
             self._observer.on_container_evict(function.name, evicted, start_at, "policy")
         spurious = (
             self._spurious_probability > 0
-            and state.spurious_stream.random() < self._spurious_probability
+            and state.spurious_stream.take() < self._spurious_probability
         )
         if not spurious:
             # Reuse the most recently used warm sandbox with a free slot
@@ -960,180 +959,56 @@ class SimulatedPlatform(FaaSPlatform):
         sequential calls, at the end of the burst for batches, at the
         completion event for stream replay).
 
-        ``fault_scale`` is the active latency-storm multiplier pair
-        ``(compute, network)`` from the fault plane (:mod:`repro.faults`),
-        applied to the sampled durations *after* all draws — ``None`` (no
-        storm) leaves every number byte-identical to a storm-free replay.
+        The sampling itself is :func:`repro.columnar.engine.lane_step`, the
+        step the columnar loop runs, on a lane cached per (function
+        version, input size).  ``fault_scale`` is the active latency-storm
+        multiplier pair ``(compute, network)`` from the fault plane
+        (:mod:`repro.faults`), applied to the sampled durations *after* all
+        draws — ``None`` (no storm) leaves every number byte-identical to a
+        storm-free replay.
         """
         function = self.get_function(fname)
         state = self._state.get(fname)
         if state is None:
             state = self._runtime_state(fname)
-        profile = self._profile_for(function, state)
-        memory_mb = function.config.memory_mb
+        lane = state.lane
+        if lane is None or lane.key != (function.version, state.input_size):
+            lane = state.lane = build_lane(self, function, state)
         container, start_type = self._acquire_container(function, state, start_at)
-        state.pool.reserve(container.container_id)
+        container_id = container.container_id
+        state.pool.reserve(container_id)
         try:
-            return self._simulate_reserved_invocation(
-                fname, function, state, profile, container, start_type,
-                payload, trigger, payload_bytes, concurrency, start_at, memory_mb,
-                request_index, fault_scale,
+            sample = lane_step(
+                lane,
+                start_type is StartType.COLD,
+                concurrency,
+                trigger is TriggerType.HTTP,
+                payload,
+                payload_bytes,
+                fault_scale,
+                self._execute_kernel if self.execute_kernels else None,
             )
         except BaseException:
             # An exception mid-invocation (e.g. a raising kernel) must not
             # leave the sandbox reserved forever: the caller never sees a
             # record to release.  release() re-indexes a warm sandbox whose
             # MRU entry was already consumed by the pick.
-            state.pool.release(container.container_id)
+            state.pool.release(container_id)
             raise
-
-    def _simulate_reserved_invocation(
-        self,
-        fname: str,
-        function: DeployedFunction,
-        state: _FunctionRuntimeState,
-        profile: WorkProfile,
-        container: Container,
-        start_type: StartType,
-        payload: Mapping[str, Any],
-        trigger: TriggerType,
-        payload_bytes: int | None,
-        concurrency: int,
-        start_at: float,
-        memory_mb: int,
-        request_index: int = -1,
-        fault_scale: tuple[float, float] | None = None,
-    ) -> InvocationRecord:
-        sample = state.compute.execute(
-            profile,
-            memory_mb=memory_mb,
-            cold=start_type is StartType.COLD,
-            code_package_mb=function.package.size_mb,
-            concurrent=concurrency > 1,
+        record = lane_record(
+            lane, self.provider, start_type, sample, container_id, start_at, request_index
         )
-        failure = state.reliability.check(
-            profile,
-            memory_mb=memory_mb,
-            memory_used_mb=sample.memory_used_mb,
-            concurrency=concurrency,
-        )
-
-        output: dict = {}
-        output_bytes = profile.output_bytes
-        if self.execute_kernels and payload and not failure.failed:
-            output, output_bytes = self._execute_kernel(function, payload)
-
-        if payload_bytes is not None:
-            request_bytes = payload_bytes
-        elif payload:
-            # Measure the wire size of the request: UTF-8 encoded bytes, not
-            # unicode characters — matching _execute_kernel's output
-            # accounting.
-            request_bytes = payload_wire_bytes(payload)
-        else:
-            request_bytes = _EMPTY_PAYLOAD_BYTES
-        overhead_profile = self._invocation_profile
-        via_http = trigger is TriggerType.HTTP
-        gateway = overhead_profile.http_gateway_s if via_http else overhead_profile.sdk_overhead_s
-        gateway *= float(
-            state.gateway_stream.lognormal(mean=self._gateway_mean, sigma=self._gateway_sigma)
-        )
-        payload_upload_s = request_bytes / (overhead_profile.payload_bandwidth_mbps * 1024 * 1024)
-        response_download_s = output_bytes / (overhead_profile.response_bandwidth_mbps * 1024 * 1024)
-        request_network_s = state.network.one_way_delay("request")
-        response_network_s = state.network.one_way_delay("response")
-
-        sampled_benchmark_time_s = sample.benchmark_time_s
-        cold_init_s = sample.cold_init_s
-        if fault_scale is not None:
-            # An active latency storm scales the already-drawn durations —
-            # compute work and sandbox init by the compute multiplier, every
-            # wire segment by the network multiplier.  Draw counts never
-            # change, so the streams stay aligned with a calm replay.
-            compute_scale, network_scale = fault_scale
-            sampled_benchmark_time_s *= compute_scale
-            cold_init_s *= compute_scale
-            gateway *= network_scale
-            payload_upload_s *= network_scale
-            response_download_s *= network_scale
-            request_network_s *= network_scale
-            response_network_s *= network_scale
-
-        # Overhead between submitting the request and the function starting.
-        invocation_overhead_s = request_network_s + gateway + payload_upload_s + cold_init_s
-
-        if failure.failed:
-            benchmark_time_s = 0.0
-            provider_time_s = self._runtime_overhead_s
-            success = False
-        else:
-            benchmark_time_s = sampled_benchmark_time_s
-            provider_time_s = benchmark_time_s + self._runtime_overhead_s
-            success = True
-
-        client_time_s = invocation_overhead_s + provider_time_s + response_download_s + response_network_s
-
-        # Time-limit enforcement.
-        if success and provider_time_s > function.config.timeout_s:
-            success = False
-            failure_reason = "timeout"
-            provider_time_s = function.config.timeout_s
-            client_time_s = invocation_overhead_s + provider_time_s + response_network_s
-        else:
-            failure_reason = failure.reason if failure.failed else None
-
-        billing = self.billing
-        billed_duration_s = billing.billed_duration(provider_time_s)
-        cost = billing.invocation_cost(
-            duration_s=provider_time_s,
-            declared_memory_mb=memory_mb,
-            used_memory_mb=sample.memory_used_mb,
-            output_bytes=output_bytes if success else 0,
-            storage_requests=profile.storage_read_requests + profile.storage_write_requests,
-            via_http_api=via_http,
-            billed_duration_s=billed_duration_s,
-        )
-
-        started_at = start_at + invocation_overhead_s
-        finished_at = start_at + client_time_s
-        container.serve(finished_at)
+        container.serve(record.finished_at)
         state.pool.touch(container)
-
         state.history.append(
             _LogEntry(
-                function_name=fname,
-                provider_time_s=provider_time_s,
-                memory_used_mb=sample.memory_used_mb,
-                cost_usd=cost.total,
-                start_type=start_type,
-                success=success,
-                timestamp=finished_at,
+                fname,
+                record.provider_time_s,
+                record.memory_used_mb,
+                record.cost.total,
+                start_type,
+                record.success,
+                record.finished_at,
             )
         )
-
-        return InvocationRecord(
-            function_name=fname,
-            benchmark=function.benchmark,
-            provider=self.provider,
-            start_type=start_type,
-            success=success,
-            benchmark_time_s=benchmark_time_s,
-            provider_time_s=provider_time_s,
-            client_time_s=client_time_s,
-            invocation_overhead_s=invocation_overhead_s,
-            cold_init_s=cold_init_s,
-            memory_declared_mb=memory_mb,
-            memory_used_mb=sample.memory_used_mb,
-            billed_duration_s=billed_duration_s,
-            cost=cost,
-            output_bytes=output_bytes,
-            container_id=container.container_id,
-            submitted_at=start_at,
-            started_at=started_at,
-            finished_at=finished_at,
-            error=failure_reason,
-            output=output,
-            outcome=InvocationOutcome.COMPLETED if success else InvocationOutcome.FAILED,
-            admitted_at=start_at,
-            request_index=request_index,
-        )
+        return record

@@ -12,31 +12,20 @@ Functions:
   4096 MB where up to 80% of a 50-invocation batch failed, indicating a lack
   of free high-memory resources.
 
-The model keeps these behaviours behind a single object so the platform
-implementation stays readable and the failure rates are easy to test.
+:func:`repro.columnar.engine.lane_step` makes the per-invocation decision;
+this model holds what it reads: the provider classes below, the switch, and
+the function's reliability stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..benchmarks.base import WorkProfile
-from ..config import DYNAMIC_MEMORY, Provider
-
-
-@dataclass(frozen=True)
-class FailureDecision:
-    """Outcome of the reliability check for one invocation."""
-
-    failed: bool
-    reason: str = ""
-    message: str = ""
+from ..config import Provider
 
 
 class ReliabilityModel:
-    """Decides whether an invocation fails and why."""
+    """A function's failure-injection stream and the provider's failure classes."""
 
     #: Providers whose memory accounting is strict enough to kill borderline
     #: allocations (the paper only observed this on GCP).
@@ -48,52 +37,3 @@ class ReliabilityModel:
         self._provider = provider
         self._rng = rng
         self._enabled = enabled
-
-    def check(
-        self,
-        profile: WorkProfile,
-        memory_mb: int,
-        memory_used_mb: float,
-        concurrency: int = 1,
-    ) -> FailureDecision:
-        """Evaluate failure conditions for one invocation."""
-        if not self._enabled:
-            return FailureDecision(failed=False)
-        decision = self._check_memory(profile, memory_mb, memory_used_mb)
-        if decision.failed:
-            return decision
-        return self._check_availability(memory_mb, concurrency)
-
-    # ------------------------------------------------------------ components
-    def _check_memory(self, profile: WorkProfile, memory_mb: int, memory_used_mb: float) -> FailureDecision:
-        if memory_mb == DYNAMIC_MEMORY:
-            return FailureDecision(failed=False)
-        if self._provider not in self._STRICT_MEMORY_PROVIDERS:
-            # AWS/Azure tolerate peaks around the declared allocation; only an
-            # egregious overshoot (>1.5x) kills the invocation.
-            if memory_used_mb > memory_mb * 1.5:
-                return FailureDecision(True, "out-of-memory", f"used {memory_used_mb:.0f} MB of {memory_mb} MB")
-            return FailureDecision(failed=False)
-        # Strict accounting: exceeding the allocation kills the function, and
-        # allocations within ~10% of the typical peak fail sporadically
-        # because per-invocation peaks fluctuate (the 4-5% rates in the paper).
-        if memory_used_mb > memory_mb:
-            return FailureDecision(True, "out-of-memory", f"used {memory_used_mb:.0f} MB of {memory_mb} MB")
-        if memory_mb < profile.peak_memory_mb * 1.10 and self._rng.random() < 0.05:
-            return FailureDecision(True, "out-of-memory", "sporadic memory-limit violation")
-        return FailureDecision(failed=False)
-
-    def _check_availability(self, memory_mb: int, concurrency: int) -> FailureDecision:
-        if self._provider not in self._BURST_FAILURE_PROVIDERS or concurrency < 10:
-            return FailureDecision(failed=False)
-        probability = 0.0
-        if self._provider is Provider.GCP:
-            probability = 0.01
-            if memory_mb >= 4096 and concurrency >= 50:
-                # The extreme shortage of high-memory containers: up to 80%.
-                probability = 0.6
-        elif self._provider is Provider.AZURE:
-            probability = 0.02
-        if self._rng.random() < probability:
-            return FailureDecision(True, "unavailable", "service could not allocate resources for the burst")
-        return FailureDecision(failed=False)

@@ -856,8 +856,12 @@ class WorkloadEngine:
     ) -> Iterator[InvocationRecord]:
         """The controlled replay loop (overload, faults and/or resilience).
 
-        It also runs kernel execution, and it is the scalar reference that
-        ``tests/oracle.py`` forces for the differential tier and goldens.
+        It also runs kernel execution.  Each dispatch samples through
+        ``platform._simulate_invocation``, i.e. the same lane step
+        (:func:`repro.columnar.engine.lane_step`) as the columnar loop;
+        ``tests/oracle.py`` forces this loop, with the frozen scalar chain
+        in place of that step, as the reference of the differential tier
+        and goldens.
 
         Three event sources merge in time order without ever re-sorting the
         heap of scheduled work:

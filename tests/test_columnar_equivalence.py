@@ -18,7 +18,14 @@ floats is bit equality, no tolerances):
   and ``workers=2`` on both backends), whose feedback request source feeds
   the columnar loop one stage task at a time;
 * ``invoke_stream`` — records, clock, provider logs and warm pools, for a
-  stream run to exhaustion and for one abandoned half-way and closed.
+  stream run to exhaustion and for one abandoned half-way and closed;
+* direct ``invoke`` / ``invoke_batch`` calls on every provider and IaaS
+  (Azure's shared sandboxes exercise the burst reservation rule), across
+  version bumps and input-size changes, and a kernel-executing replay.
+
+Every one of these callers samples through the one lane step
+(:func:`repro.columnar.engine.lane_step`); the reference side runs the
+frozen scalar chain of ``tests/oracle.py`` on raw generators instead.
 
 Every scenario deploys ``dynamic-html`` (no storage transfers),
 ``thumbnailer`` (2) and ``compression`` (41 reads + 1 write), so the
@@ -26,8 +33,9 @@ per-invocation batched storage-jitter draw is compared at batch sizes 0, 2
 and 42.  Scenarios are hypothesis-generated over providers × arrival
 patterns × trigger types × the overload/fault/resilience stack, plus
 explicit pinned cases for every provider, IaaS (both storage modes) and
-the controlled stack — the paths the columnar engine either inlines or
-must compose with through the draw-block shims.
+the controlled stack — hedged duplicates, stale resubmission, crashes with
+and without survivors, and a latency storm whose multipliers scale the
+step's durations.
 """
 
 from __future__ import annotations
@@ -39,12 +47,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import OverloadConfig
-from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, TriggerType
+from dataclasses import replace
+
+import numpy as np
+
+from repro.benchmarks.base import BenchmarkContext, InputSize
+from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, StartType, TriggerType
 from repro.experiments.base import deploy_benchmark
 from repro.faas.platform import LogQueryType
-from repro.faults import FaultPlaneConfig, LatencyStorm, OutageWindow
+from repro.observe.events import ReplayObserver
+from repro.faults import ContainerCrash, FaultPlaneConfig, LatencyStorm, OutageWindow
 from repro.parallel import run_workload_sharded
-from repro.resilience import CircuitBreakerConfig, ResilienceConfig
+from repro.resilience import CircuitBreakerConfig, HedgeConfig, ResilienceConfig
 from repro.simulator.iaas import IaaSPlatform
 from repro.simulator.providers import create_platform
 from repro.workload import (
@@ -205,11 +219,19 @@ def _stack_kwargs(overload, faults, resilience):
     if faults:
         simkw["faults"] = FaultPlaneConfig(
             outages=(OutageWindow(start_s=3.0, duration_s=2.5),),
-            storms=(LatencyStorm(start_s=8.0, duration_s=3.0),),
+            crashes=(ContainerCrash(at_s=6.0), ContainerCrash(at_s=12.0, survive_fraction=0.5)),
+            storms=(
+                LatencyStorm(
+                    start_s=8.0, duration_s=3.0, compute_multiplier=2.5, network_multiplier=1.7
+                ),
+            ),
         )
     if resilience:
         simkw["resilience"] = ResilienceConfig(
-            breaker=CircuitBreakerConfig(), retry_policy="exponential"
+            breaker=CircuitBreakerConfig(cooldown_s=2.0),
+            retry_policy="exponential",
+            hedge=HedgeConfig(delay_s=0.25),
+            stale_after_s=0.2,
         )
     return simkw
 
@@ -273,8 +295,20 @@ class TestPinnedProviders:
     @pytest.mark.parametrize("provider", PROVIDERS)
     def test_full_stack_records(self, provider):
         simkw = _stack_kwargs(True, True, True)
-        outputs = _replay_both(provider, _mixed_trace, True, **simkw)
+        outputs = _replay_both(
+            provider, _mixed_trace, True, observer_factory=_RecordingObserver, **simkw
+        )
         _assert_identical(outputs, True)
+        (result, _, _, observer), _ = outputs
+        # Every policy the stack configures actually fired.
+        assert result.hedge_count > 0
+        assert any(record.error == "stale" for record in result.records)
+        assert result.faulted_count > 0
+        assert any(event[0] == "evict" and event[4] == "crash" for event in observer.events)
+        assert any(
+            8.0 <= record.admitted_at < 11.0 and record.start_type is not StartType.NONE
+            for record in result.records
+        )
 
     @pytest.mark.parametrize("use_cloud_storage", (False, True))
     def test_iaas(self, use_cloud_storage):
@@ -292,8 +326,8 @@ class TestPinnedProviders:
         _assert_identical(outputs, True)
 
 
-class _RecordingObserver:
-    """Captures every hook call the engine makes, in order."""
+class _RecordingObserver(ReplayObserver):
+    """Captures the sandbox and invocation hook calls, in order."""
 
     def __init__(self):
         self.events = []
@@ -548,3 +582,126 @@ class TestInvokeStream:
         assert len(records_s) == (stop_after or len(trace))
         assert records_s == records_c
         assert state_s == state_c
+
+
+# ------------------------------------------------------ invoke / invoke_batch
+
+
+def _drive_invokes(platform, fnames, bump_version=True):
+    """A scripted mix of direct invocations; returns every record."""
+    records = []
+    for _ in range(3):
+        for fname in fnames:
+            records.append(platform.invoke(fname, {}))
+            records.append(
+                platform.invoke(fname, {"size": "x" * 300}, trigger=TriggerType.SDK)
+            )
+            records.append(platform.invoke(fname, {}, payload_bytes=2_000_000))
+        # Bursts of 12 and 60 cross the availability-failure thresholds
+        # (concurrency >= 10 / >= 50) on GCP and Azure.
+        records.extend(platform.invoke_batch(fnames[0], 12))
+        records.extend(platform.invoke_batch(fnames[1], 60, trigger=TriggerType.SDK))
+        records.extend(platform.invoke_batch(fnames[2], 3, payload={"k": 1}))
+        platform.clock.advance(200.0)
+    # Invalidate the cached lanes: a new version with new memory, and a new
+    # input size.
+    if bump_version:
+        function = platform.get_function(fnames[0])
+        if function.config.memory_mb != DYNAMIC_MEMORY:
+            config = replace(function.config, memory_mb=1024)
+        else:
+            config = function.config
+        platform.update_function(fnames[0], config=config)
+    platform.set_input_size(fnames[1], InputSize.LARGE)
+    for fname in fnames:
+        records.append(platform.invoke(fname, {}))
+        records.extend(platform.invoke_batch(fname, 4))
+    return records
+
+
+def _invoke_both(build, bump_version=True):
+    """Drive the invoke script on the scalar chain and on the lane step."""
+    outputs = []
+    for scalar in (True, False):
+        with scalar_reference(scalar):
+            platform, fnames = build()
+            records = [
+                _record_key(record)
+                for record in _drive_invokes(platform, fnames, bump_version)
+            ]
+        outputs.append((records, _platform_state_key(platform, fnames)))
+    return outputs
+
+
+class TestInvoke:
+    """``invoke`` and ``invoke_batch`` sample through the lane step."""
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_invoke_and_batches(self, provider):
+        (records_s, state_s), (records_c, state_c) = _invoke_both(
+            lambda: _build_platform(provider, 2026)
+        )
+        assert len(records_s) > 250
+        assert records_s == records_c
+        assert state_s == state_c
+
+    @pytest.mark.parametrize("use_cloud_storage", (False, True))
+    def test_iaas(self, use_cloud_storage):
+        def build():
+            platform = IaaSPlatform(
+                simulation=SimulationConfig(seed=2026), use_cloud_storage=use_cloud_storage
+            )
+            fnames = tuple(
+                deploy_benchmark(platform, benchmark, memory_mb=1024, function_name=name)
+                for benchmark, name in (
+                    ("dynamic-html", "fn-a"),
+                    ("thumbnailer", "fn-b"),
+                    ("compression", "fn-c"),
+                )
+            )
+            return platform, fnames
+
+        # No version bump: an updated IaaS function has no sandbox to run on.
+        (records_s, state_s), (records_c, state_c) = _invoke_both(build, bump_version=False)
+        assert records_s == records_c
+        assert state_s == state_c
+
+
+class TestKernelReplay:
+    """``execute_kernels=True``: the step takes the kernel-output hook."""
+
+    def test_records_outputs_and_state(self):
+        outputs = []
+        for scalar in (True, False):
+            with scalar_reference(scalar):
+                platform = create_platform(
+                    Provider.AWS, SimulationConfig(seed=2026), execute_kernels=True
+                )
+                fname = deploy_benchmark(
+                    platform, "dynamic-html", memory_mb=512, function_name="fn-a",
+                    input_size=InputSize.TEST,
+                )
+                benchmark = platform.registry.get("dynamic-html")
+                context = BenchmarkContext(
+                    storage=platform.object_store, rng=np.random.default_rng(1)
+                )
+                payload = benchmark.generate_input(InputSize.TEST, context)
+                trace = WorkloadTrace.merge(
+                    WorkloadTrace.synthesize(
+                        fname, PoissonArrivals(8.0), 10.0, rng=31, payload=payload
+                    ),
+                    WorkloadTrace.synthesize(
+                        fname, PoissonArrivals(4.0), 10.0, rng=32, trigger=TriggerType.SDK
+                    ),
+                )
+                result = platform.run_workload(trace)
+            outputs.append(
+                (
+                    [_record_key(record) for record in result.records],
+                    [json.dumps(record.output, sort_keys=True) for record in result.records],
+                    _platform_state_key(platform, (fname,)),
+                )
+            )
+        scalar, columnar = outputs
+        assert any(output != "{}" for output in scalar[1])
+        assert scalar == columnar

@@ -16,7 +16,10 @@ from repro.config import (
     config_to_dict,
     resolve_memory_sizes,
 )
+from repro.concurrency import OverloadConfig
 from repro.exceptions import ConfigurationError
+from repro.faults import ContainerCrash, FaultPlaneConfig, LatencyStorm, OutageWindow
+from repro.resilience import CircuitBreakerConfig, HedgeConfig, ResilienceConfig
 
 
 class TestProvider:
@@ -131,3 +134,46 @@ class TestConfigToDict:
     def test_serialises_tuples(self):
         as_dict = config_to_dict(ExperimentConfig())
         assert as_dict["confidence_levels"] == [0.95, 0.99]
+
+
+
+NAN, INF = float("nan"), float("inf")
+_STORM = LatencyStorm(start_s=1.0, duration_s=1.0)
+
+
+class TestPolicyConfigsRejectNonFinite:
+    """A NaN passes every comparison-based range check; reject it up front."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: LatencyStorm(1.0, 1.0, compute_multiplier=NAN), id="storm-compute-nan"),
+            pytest.param(lambda: LatencyStorm(1.0, 1.0, network_multiplier=INF), id="storm-network-inf"),
+            pytest.param(lambda: LatencyStorm(start_s=NAN, duration_s=1.0), id="storm-start-nan"),
+            pytest.param(lambda: LatencyStorm(start_s=INF, duration_s=1.0), id="storm-start-inf"),
+            pytest.param(lambda: LatencyStorm(start_s=1.0, duration_s=NAN), id="storm-duration-nan"),
+            pytest.param(lambda: OutageWindow(start_s=NAN, duration_s=1.0), id="outage-start-nan"),
+            pytest.param(lambda: OutageWindow(start_s=INF, duration_s=1.0), id="outage-start-inf"),
+            pytest.param(lambda: ContainerCrash(at_s=NAN), id="crash-at-nan"),
+            pytest.param(lambda: ContainerCrash(at_s=INF), id="crash-at-inf"),
+            pytest.param(
+                lambda: FaultPlaneConfig(storms=(_STORM,), boundary_jitter_s=NAN), id="plane-jitter-nan"
+            ),
+            pytest.param(
+                lambda: FaultPlaneConfig(storms=(_STORM,), boundary_jitter_s=INF), id="plane-jitter-inf"
+            ),
+            pytest.param(lambda: ResilienceConfig(stale_after_s=NAN), id="resilience-stale-nan"),
+            pytest.param(lambda: ResilienceConfig(retry_base_delay_s=NAN), id="resilience-retry-base-nan"),
+            pytest.param(lambda: HedgeConfig(delay_s=NAN), id="hedge-delay-nan"),
+            pytest.param(lambda: CircuitBreakerConfig(cooldown_s=NAN), id="breaker-cooldown-nan"),
+            pytest.param(lambda: OverloadConfig(admission_max_age_s=NAN), id="overload-max-age-nan"),
+            pytest.param(lambda: OverloadConfig(retry_base_delay_s=NAN), id="overload-retry-base-nan"),
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    def test_infinite_durations_stay_legal(self):
+        assert OutageWindow(start_s=2.0, duration_s=INF).duration_s == INF
+        assert LatencyStorm(start_s=2.0, duration_s=INF, compute_multiplier=3.0).duration_s == INF

@@ -610,6 +610,33 @@ class TestCheckRegression:
         )
         assert len(failures) == 1
 
+    def test_reads_artifacts_with_and_without_a_host_block(self, gate, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+        )
+        bench_conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_conftest)
+        bench_conftest.emit_bench_json(
+            tmp_path / "BENCH_smoke.json",
+            {"benchmark": "smoke_replay", "trace_throughput_per_s": 9_000.0},
+        )
+        (tmp_path / "BENCH_older.json").write_text(
+            json.dumps({"benchmark": "older", "throughput_per_s": 9_000.0})
+        )
+        current = gate.load_current_metrics(tmp_path)
+        assert set(current["smoke_replay"]["host"]) == {"cpu_count", "python", "platform", "numpy"}
+        assert "host" not in current["older"]
+        baselines = {
+            "tolerance": 0.25,
+            "benchmarks": {
+                "smoke_replay": {
+                    "trace_throughput_per_s": {"baseline": 10_000.0, "direction": "higher"}
+                },
+                "older": {"throughput_per_s": {"baseline": 10_000.0, "direction": "higher"}},
+            },
+        }
+        assert gate.compare(current, baselines) == []
+
     def test_missing_benchmark_or_metric_fails(self, gate):
         baselines = {
             "tolerance": 0.25,

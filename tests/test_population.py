@@ -348,6 +348,36 @@ class TestTraceIngest:
             TraceIngest.load(no_rows)
 
 
+    @staticmethod
+    def _load_cell(tmp_path, cells):
+        trace = tmp_path / "cell.csv"
+        trace.write_text("HashOwner,HashApp,HashFunction,Trigger,1\n" + f"o,a,f,http,{cells}\n")
+        return TraceIngest.load(trace)
+
+    def test_negative_count_names_the_row(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="row 2 .*'-5'"):
+            self._load_cell(tmp_path, "-5")
+
+    def test_fractional_count_names_the_row(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="row 2 .*'2.5'"):
+            self._load_cell(tmp_path, "2.5")
+
+    def test_infinite_count_names_the_row(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="row 2 .*'inf'"):
+            self._load_cell(tmp_path, "inf")
+
+    def test_count_beyond_int64_names_the_row(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="row 2 .*'99999999999999999999'"):
+            self._load_cell(tmp_path, "99999999999999999999")
+
+    def test_trailing_extra_field_names_the_row(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="row 2 has 6 fields, expected 5"):
+            self._load_cell(tmp_path, "3,4")
+
+    def test_integral_counts_still_load(self, tmp_path):
+        assert self._load_cell(tmp_path, "3.0").counts.tolist() == [[3]]
+
+
 # ----------------------------------------------------------------- profiles
 class TestProfiles:
     def test_catalog_profiles_are_valid(self):

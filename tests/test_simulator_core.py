@@ -1,4 +1,10 @@
-"""Tests for the simulator building blocks: containers, eviction, compute, reliability."""
+"""Tests for the simulator building blocks: containers, eviction, compute, reliability.
+
+The compute and reliability behaviours are sampled per invocation by
+:func:`repro.columnar.engine.lane_step`; the unit tests here pin them on
+the frozen scalar reference in ``tests/oracle.py``, which the differential
+tier proves bit-identical to the step.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +20,8 @@ from repro.simulator.containers import Container, ContainerPool, ContainerState
 from repro.simulator.eviction import AWS_EVICTION_PERIOD_S, HalfLifeEvictionPolicy, IdleTimeoutEvictionPolicy
 from repro.simulator.profiles import profile_for
 from repro.simulator.reliability import ReliabilityModel
+
+import oracle
 
 
 def make_container(created_at=0.0, name="f", version=1, memory=128) -> Container:
@@ -162,10 +170,10 @@ class TestComputeModel:
 
     def test_compute_time_decreases_with_memory_until_plateau(self):
         model = self._model()
-        t128 = np.median([model.compute_time(PROFILE, 128) for _ in range(50)])
-        t1024 = np.median([model.compute_time(PROFILE, 1024) for _ in range(50)])
-        t1792 = np.median([model.compute_time(PROFILE, 1792) for _ in range(50)])
-        t3008 = np.median([model.compute_time(PROFILE, 3008) for _ in range(50)])
+        t128 = np.median([oracle.compute_time(model, PROFILE, 128) for _ in range(50)])
+        t1024 = np.median([oracle.compute_time(model, PROFILE, 1024) for _ in range(50)])
+        t1792 = np.median([oracle.compute_time(model, PROFILE, 1792) for _ in range(50)])
+        t3008 = np.median([oracle.compute_time(model, PROFILE, 3008) for _ in range(50)])
         assert t128 > t1024 > t1792
         assert t3008 == pytest.approx(t1792, rel=0.2)
 
@@ -176,8 +184,8 @@ class TestComputeModel:
     def test_gcp_compute_slower_than_aws(self):
         aws = self._model(Provider.AWS)
         gcp = self._model(Provider.GCP)
-        aws_time = np.median([aws.compute_time(PROFILE, 2048) for _ in range(100)])
-        gcp_time = np.median([gcp.compute_time(PROFILE, 2048) for _ in range(100)])
+        aws_time = np.median([oracle.compute_time(aws, PROFILE, 2048) for _ in range(100)])
+        gcp_time = np.median([oracle.compute_time(gcp, PROFILE, 2048) for _ in range(100)])
         assert gcp_time > aws_time
 
     def test_cold_init_includes_package_download(self):
@@ -202,21 +210,21 @@ class TestComputeModel:
     def test_storage_time_scales_with_bytes_and_memory(self):
         model = self._model()
         big_profile = PROFILE.scaled(16.0)
-        small_time = np.median([model.storage_time(PROFILE, 1024) for _ in range(50)])
-        big_time = np.median([model.storage_time(big_profile, 1024) for _ in range(50)])
+        small_time = np.median([oracle.storage_time(model, PROFILE, 1024) for _ in range(50)])
+        big_time = np.median([oracle.storage_time(model, big_profile, 1024) for _ in range(50)])
         assert big_time > small_time
 
     def test_memory_used_close_to_profile_peak(self):
         model = self._model()
-        samples = [model.memory_used(PROFILE) for _ in range(200)]
+        samples = [oracle.memory_used(model, PROFILE) for _ in range(200)]
         assert np.median(samples) == pytest.approx(100.0, rel=0.1)
 
     def test_execute_combines_components(self):
         model = self._model()
-        sample = model.execute(PROFILE, 1024, cold=True, code_package_mb=10.0)
+        sample = oracle.execute(model, PROFILE, 1024, cold=True, code_package_mb=10.0)
         assert sample.benchmark_time_s == pytest.approx(sample.compute_time_s + sample.storage_time_s)
         assert sample.cold_init_s > 0
-        warm = model.execute(PROFILE, 1024, cold=False, code_package_mb=10.0)
+        warm = oracle.execute(model, PROFILE, 1024, cold=False, code_package_mb=10.0)
         assert warm.cold_init_s == 0.0
 
 
@@ -226,12 +234,12 @@ class TestReliabilityModel:
 
     def test_disabled_model_never_fails(self):
         model = self._model(Provider.GCP, enabled=False)
-        decision = model.check(PROFILE, memory_mb=64, memory_used_mb=1000.0, concurrency=100)
+        decision = oracle.check(model, PROFILE, memory_mb=64, memory_used_mb=1000.0, concurrency=100)
         assert not decision.failed
 
     def test_gcp_kills_overcommitted_memory(self):
         model = self._model(Provider.GCP)
-        decision = model.check(PROFILE, memory_mb=64, memory_used_mb=100.0)
+        decision = oracle.check(model, PROFILE, memory_mb=64, memory_used_mb=100.0)
         assert decision.failed and decision.reason == "out-of-memory"
 
     def test_gcp_sporadic_failures_near_the_limit(self):
@@ -239,7 +247,7 @@ class TestReliabilityModel:
         model = self._model(Provider.GCP)
         profile = WorkProfile(0.1, 0.1, 1e8, 0.9, peak_memory_mb=250.0)
         failures = sum(
-            model.check(profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(1000)
+            oracle.check(model, profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(1000)
         )
         assert 10 <= failures <= 120
 
@@ -247,20 +255,20 @@ class TestReliabilityModel:
         model = self._model(Provider.AWS)
         profile = WorkProfile(0.1, 0.1, 1e8, 0.9, peak_memory_mb=250.0)
         failures = sum(
-            model.check(profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(500)
+            oracle.check(model, profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(500)
         )
         assert failures == 0
 
     def test_aws_kills_only_egregious_overcommit(self):
         model = self._model(Provider.AWS)
-        assert model.check(PROFILE, memory_mb=128, memory_used_mb=500.0).failed
-        assert not model.check(PROFILE, memory_mb=128, memory_used_mb=150.0).failed
+        assert oracle.check(model, PROFILE, memory_mb=128, memory_used_mb=500.0).failed
+        assert not oracle.check(model, PROFILE, memory_mb=128, memory_used_mb=150.0).failed
 
     def test_gcp_highmem_burst_availability_failures(self):
         """image-recognition at 4096 MB with 50 concurrent calls: massive error rate."""
         model = self._model(Provider.GCP)
         failures = sum(
-            model.check(PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=50).failed
+            oracle.check(model, PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=50).failed
             for _ in range(500)
         )
         assert failures > 200
@@ -268,11 +276,11 @@ class TestReliabilityModel:
     def test_sequential_invocations_never_hit_burst_failures(self):
         model = self._model(Provider.GCP)
         failures = sum(
-            model.check(PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=1).failed
+            oracle.check(model, PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=1).failed
             for _ in range(200)
         )
         assert failures == 0
 
     def test_azure_dynamic_memory_never_oom(self):
         model = self._model(Provider.AZURE)
-        assert not model.check(PROFILE, memory_mb=DYNAMIC_MEMORY, memory_used_mb=5000.0).failed
+        assert not oracle.check(model, PROFILE, memory_mb=DYNAMIC_MEMORY, memory_used_mb=5000.0).failed

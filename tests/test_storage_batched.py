@@ -1,8 +1,9 @@
 """The batched storage draw equals the per-transfer loop — bit for bit.
 
-``ComputeModel.storage_time`` draws all of one invocation's transfer
+An invocation's storage time (the lane step's, and ``storage_time`` of the
+frozen reference in ``tests/oracle.py``) draws all of its transfer
 jitters in a single vectorized ``Generator.lognormal(mean, sigma, n)`` call
-and folds the sum left to right.  The per-transfer loop it replaced lives
+(``StorageLatencyModel.invocation_time``) and folds the sum left to right.  The per-transfer loop it replaced lives
 on here, only as an oracle: one scalar ``transfer_time`` body per request,
 reads before writes, with the contention event drawn once per invocation.
 For every case the batched path must return the identical float *and*
@@ -31,6 +32,8 @@ from repro.simulator.iaas import IaaSPlatform
 from repro.simulator.profiles import profile_for
 from repro.storage.latency import StorageLatencyModel, StorageProfile
 
+from oracle import storage_time
+
 REQUEST_COUNTS = (0, 1, 2, 41, 64)
 
 
@@ -51,7 +54,7 @@ def _oracle_transfer(storage, num_bytes, memory_mb, contention):
 
 
 def _oracle_storage_time(compute, profile, memory_mb):
-    """The per-transfer loop ``ComputeModel.storage_time`` used to run."""
+    """The per-transfer loop ``storage_time`` used to run."""
     storage = compute.storage_model
     effective = compute.effective_memory(memory_mb)
     contention = storage.draw_contention()
@@ -145,7 +148,7 @@ class TestStorageTimeMatchesOracle:
         # Several invocations in a row also exercise the warm bases cache.
         for _ in range(invocations):
             expected = _oracle_storage_time(oracle, profile, memory_mb)
-            assert batched.storage_time(profile, memory_mb) == expected
+            assert storage_time(batched, profile, memory_mb) == expected
             assert _states(batched) == _states(oracle)
 
 
@@ -212,7 +215,7 @@ class TestIaaSCloudStorage:
         assert batched.storage_model._rng is not batched._rng
         for _ in range(3):
             expected = _oracle_storage_time(oracle, profile, memory_mb)
-            assert batched.storage_time(profile, memory_mb) == expected
+            assert storage_time(batched, profile, memory_mb) == expected
             assert _states(batched) == _states(oracle)
 
 
