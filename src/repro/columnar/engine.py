@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
+from math import ceil, isclose
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -209,7 +209,6 @@ class _Lane:
         # sink state
         "lane_idx",
         "acc",
-        "n",
         "n_cold",
         "n_fail",
         "cost_buf",
@@ -357,7 +356,6 @@ def _replay_lane(platform, fname: str) -> _Lane:
 
     lane.lane_idx = -1
     lane.acc = None
-    lane.n = 0
     lane.n_cold = 0
     lane.n_fail = 0
     lane.cost_buf = []
@@ -366,7 +364,7 @@ def _replay_lane(platform, fname: str) -> _Lane:
 
 
 def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload, payload_bytes,
-              scale, kernel):
+              scale=None, kernel=None):
     """Sample one invocation on an acquired, reserved sandbox of ``lane``.
 
     The one per-invocation model: compute draws, reliability check,
@@ -380,9 +378,10 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
 
     Returns ``(benchmark_time_s, provider_time_s, client_time_s,
     invocation_overhead_s, cold_init_s, memory_used_mb, error,
-    billed_duration_s, compute_cost, (request, storage, egress) costs,
-    kernel output or None, output_bytes)``; the invocation succeeded iff
-    ``error`` is ``None``.
+    billed_duration_s, compute_cost, cost_total, kernel_output)``: the
+    invocation succeeded iff ``error`` is ``None``, ``cost_total`` is
+    ``CostBreakdown.total`` of the invocation, and ``kernel_output`` is the
+    hook's ``(output, output_bytes)`` pair or ``None`` when no kernel ran.
     """
     # ---- compute sample: jittered CPU work, storage transfers, cold init,
     # memory noise ----------------------------------------------------------
@@ -399,7 +398,7 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
     else:
         cold_init_s = 0.0
     memory_used = float(
-        max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(loc=1.0, scale=0.03)))
+        max(1.0, lane.peak_memory_mb * max(0.85, lane.c_normal(1.0, 0.03)))
     )
 
     # ---- reliability: strict-memory providers kill any overshoot and,
@@ -427,11 +426,10 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
 
     # ---- kernel output (execute_kernels only) ----------------------------
     if kernel is not None and payload and error is None:
-        output, output_bytes = kernel(lane.function, payload)
-        response_download_s = output_bytes / lane.response_denom
+        kernel_output = kernel(lane.function, payload)
+        response_download_s = kernel_output[1] / lane.response_denom
     else:
-        output = None
-        output_bytes = lane.output_bytes
+        kernel_output = None
         response_download_s = lane.response_download_s
 
     # ---- gateway / payload / network -------------------------------------
@@ -505,14 +503,14 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
     v = provider_time_s if provider_time_s > lane.min_billed else lane.min_billed
     q = v / lane.granularity
     nearest = round(q)
-    if math.isclose(q, nearest, rel_tol=1e-12, abs_tol=1e-12):
+    if isclose(q, nearest, rel_tol=1e-12, abs_tol=1e-12):
         snapped = nearest * lane.granularity
         if snapped >= v - 1e-9:
             billed_duration_s = snapped
         else:
-            billed_duration_s = math.ceil(q) * lane.granularity
+            billed_duration_s = ceil(q) * lane.granularity
     else:
-        billed_duration_s = math.ceil(q) * lane.granularity
+        billed_duration_s = ceil(q) * lane.granularity
     if lane.is_vm:
         compute_cost = provider_time_s / 3600.0 * lane.vm_price
     elif lane.bills_avg:
@@ -522,10 +520,12 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
         )
     else:
         compute_cost = billed_duration_s * lane.mem_gb_const * lane.gb_price
-    if output is None:
-        statics = lane.statics[(via_http, error is None)]
+    if kernel_output is None:
+        request_cost, storage_cost, egress_cost = lane.statics[(via_http, error is None)]
     else:
-        statics = _statics(lane, output_bytes if error is None else 0, via_http)
+        request_cost, storage_cost, egress_cost = _statics(
+            lane, kernel_output[1] if error is None else 0, via_http
+        )
     return (
         benchmark_time_s,
         provider_time_s,
@@ -536,15 +536,14 @@ def lane_step(lane: _Lane, cold: bool, concurrency: int, via_http: bool, payload
         error,
         billed_duration_s,
         compute_cost,
-        statics,
-        output,
-        output_bytes,
+        request_cost + compute_cost + storage_cost + egress_cost,
+        kernel_output,
     )
 
 
 def lane_record(
-    lane: _Lane, provider, start_type, sample: tuple, container_id: str, submitted_at: float,
-    request_index: int,
+    lane: _Lane, provider, start_type, via_http: bool, sample: tuple, container_id: str,
+    submitted_at: float, request_index: int,
 ) -> InvocationRecord:
     """The record of one :func:`lane_step` ``sample`` submitted at ``submitted_at``."""
     (
@@ -557,11 +556,19 @@ def lane_record(
         error,
         billed_duration_s,
         compute_cost,
-        (request_cost, storage_cost, egress_cost),
-        output,
-        output_bytes,
+        _,
+        kernel_output,
     ) = sample
     success = error is None
+    if kernel_output is None:
+        output = {}
+        output_bytes = lane.output_bytes
+        request_cost, storage_cost, egress_cost = lane.statics[(via_http, success)]
+    else:
+        output, output_bytes = kernel_output
+        request_cost, storage_cost, egress_cost = _statics(
+            lane, output_bytes if success else 0, via_http
+        )
     return InvocationRecord(
         function_name=lane.fname,
         benchmark=lane.benchmark,
@@ -583,7 +590,7 @@ def lane_record(
         started_at=submitted_at + invocation_overhead_s,
         finished_at=submitted_at + client_time_s,
         error=error,
-        output={} if output is None else output,
+        output=output,
         outcome=_COMPLETED if success else _FAILED,
         admitted_at=submitted_at,
         request_index=request_index,
@@ -605,8 +612,10 @@ def _jitter_params(cv: float) -> tuple[float, float] | None:
 def _flush_lane(lane: _Lane) -> None:
     """Fold buffered per-lane stats into its _FunctionAccumulator."""
     acc = lane.acc
-    acc.invocations += lane.n
-    acc.executed += lane.n
+    # One client time is buffered per invocation.
+    n = len(lane.client_buf)
+    acc.invocations += n
+    acc.executed += n
     acc.cold_starts += lane.n_cold
     acc.failures += lane.n_fail
     total = acc.total_cost_usd
@@ -614,7 +623,6 @@ def _flush_lane(lane: _Lane) -> None:
         total += value
     acc.total_cost_usd = total
     acc.client_time.add_many(lane.client_buf)
-    lane.n = 0
     lane.n_cold = 0
     lane.n_fail = 0
     lane.cost_buf.clear()
@@ -697,10 +705,10 @@ def _replay(
     completions: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
+    #: Completion-heap tie-break; also the count of invocations so far.
     seq = 0
     last_submitted = 0.0
     last_finish = base
-    processed = 0
     peak = 0
     engine.last_peak_in_flight = 0
 
@@ -785,6 +793,9 @@ def _replay(
                     lane.acc = accumulator.per_function[lane.fname] = _FunctionAccumulator(
                         lane.fname
                     )
+                    # The first request of the replay always opens a lane.
+                    if accumulator.first_submitted is None:
+                        accumulator.first_submitted = now
 
             in_flight = len(completions)
 
@@ -848,8 +859,7 @@ def _replay(
             concurrency = lane.in_flight + 1
             via_http = request.trigger is _HTTP
             sample = lane_step(
-                lane, cold, concurrency, via_http, request.payload, request.payload_bytes,
-                None, None,
+                lane, cold, concurrency, via_http, request.payload, request.payload_bytes
             )
             (
                 benchmark_time_s,
@@ -861,13 +871,10 @@ def _replay(
                 error,
                 billed_duration_s,
                 compute_cost,
-                statics,
-                _,
+                cost_total,
                 _,
             ) = sample
             success = error is None
-            request_cost, storage_cost, egress_cost = statics
-            cost_total = request_cost + compute_cost + storage_cost + egress_cost
 
             # ---- completion bookkeeping ----------------------------------
             finished_at = now + client_time_s
@@ -911,12 +918,10 @@ def _replay(
                 del lane.h_success[:cut]
                 del lane.h_ts[:cut]
 
-            request_index = next(position_iter)
-
             # ---- sink ----------------------------------------------------
             if record_mode:
                 a_lane(lane.lane_idx)
-                a_reqidx(request_index)
+                a_reqidx(next(position_iter))
                 a_sub(now)
                 a_cold(cold)
                 a_success(success)
@@ -933,9 +938,6 @@ def _replay(
                 a_cid(container_id)
                 a_fin(finished_at)
             elif fold_mode:
-                if accumulator.first_submitted is None:
-                    accumulator.first_submitted = now
-                lane.n += 1
                 if cold:
                     lane.n_cold += 1
                 if not success:
@@ -946,12 +948,11 @@ def _replay(
                     _flush_lane(lane)
             else:
                 yield lane_record(
-                    lane, provider, _COLD if cold else _WARM, sample, container_id, now,
-                    request_index,
+                    lane, provider, _COLD if cold else _WARM, via_http, sample, container_id, now,
+                    next(position_iter),
                 )
 
-            processed += 1
-            if processed % _PRUNE_INTERVAL == 0:
+            if seq % _PRUNE_INTERVAL == 0:
                 # prune() rebinds pool._index; refresh the lane caches of
                 # every pruned pool.  The first interval sweeps every state
                 # (clearing any evictions that predate this loop, exactly as

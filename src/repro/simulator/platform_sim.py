@@ -977,12 +977,13 @@ class SimulatedPlatform(FaaSPlatform):
         container, start_type = self._acquire_container(function, state, start_at)
         container_id = container.container_id
         state.pool.reserve(container_id)
+        via_http = trigger is TriggerType.HTTP
         try:
             sample = lane_step(
                 lane,
                 start_type is StartType.COLD,
                 concurrency,
-                trigger is TriggerType.HTTP,
+                via_http,
                 payload,
                 payload_bytes,
                 fault_scale,
@@ -996,7 +997,8 @@ class SimulatedPlatform(FaaSPlatform):
             state.pool.release(container_id)
             raise
         record = lane_record(
-            lane, self.provider, start_type, sample, container_id, start_at, request_index
+            lane, self.provider, start_type, via_http, sample, container_id, start_at,
+            request_index,
         )
         container.serve(record.finished_at)
         state.pool.touch(container)

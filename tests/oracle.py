@@ -29,9 +29,10 @@ directory first.
 Everything below is frozen.  A deliberate change to the per-invocation
 model lands in ``lane_step`` and is mirrored here by hand; the
 differential tier (``tests/test_columnar_equivalence.py``) then shows the
-two agree, and fails on any change made to one side only.  The compute and
-reliability functions are also the unit-tested reference of those models
-(``tests/test_simulator_core.py``).
+two agree, and fails on any change made to one side only.  The unit
+tests of the compute and reliability behaviours
+(``tests/test_simulator_core.py``) drive ``lane_step`` itself, not this
+copy.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import json
 from dataclasses import dataclass
 from unittest import mock
 
-from repro.config import DYNAMIC_MEMORY, InvocationOutcome, Provider, StartType, TriggerType
 from repro.columnar import engine as columnar_engine
+from repro.config import DYNAMIC_MEMORY, InvocationOutcome, Provider, StartType, TriggerType
 from repro.faas.invocation import InvocationRecord, payload_wire_bytes
 from repro.simulator import platform_sim
 from repro.simulator.containers import Container

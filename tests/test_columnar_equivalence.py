@@ -21,7 +21,12 @@ floats is bit equality, no tolerances):
   stream run to exhaustion and for one abandoned half-way and closed;
 * direct ``invoke`` / ``invoke_batch`` calls on every provider and IaaS
   (Azure's shared sandboxes exercise the burst reservation rule), across
-  version bumps and input-size changes, and a kernel-executing replay.
+  version bumps and input-size changes, and a kernel-executing replay;
+* every branch of the reliability check and the timeout — out-of-memory
+  beyond 1.5x the allocation (AWS) and above it (GCP), GCP's sporadic
+  borderline kills, burst unavailability up to GCP's 4 GB bursts of 50,
+  Azure's dynamic memory and the ``enable_failures=False`` switch — on
+  ``invoke`` / ``invoke_batch`` and on a replay.
 
 Every one of these callers samples through the one lane step
 (:func:`repro.columnar.engine.lane_step`); the reference side runs the
@@ -41,22 +46,21 @@ step's durations.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency import OverloadConfig
-from dataclasses import replace
-
-import numpy as np
-
 from repro.benchmarks.base import BenchmarkContext, InputSize
+from repro.concurrency import OverloadConfig
 from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, StartType, TriggerType
 from repro.experiments.base import deploy_benchmark
 from repro.faas.platform import LogQueryType
-from repro.observe.events import ReplayObserver
 from repro.faults import ContainerCrash, FaultPlaneConfig, LatencyStorm, OutageWindow
+from repro.observe.events import ReplayObserver
 from repro.parallel import run_workload_sharded
 from repro.resilience import CircuitBreakerConfig, HedgeConfig, ResilienceConfig
 from repro.simulator.iaas import IaaSPlatform
@@ -665,6 +669,98 @@ class TestInvoke:
         (records_s, state_s), (records_c, state_c) = _invoke_both(build, bump_version=False)
         assert records_s == records_c
         assert state_s == state_c
+
+
+# ------------------------------------------------------ reliability branches
+
+#: (provider, enable_failures, deployed (benchmark, memory MB, timeout s)).
+#: Peaks: image-recognition 480 MB, compression 250 MB, video-processing
+#: ~261 MB (~1.5 s of CPU work).  Azure allocates memory dynamically only,
+#: so its lenient 1.5x limit is reachable on AWS alone.
+_GCP_FUNCTIONS = (
+    ("image-recognition", 256, None),  # declared below the peak: killed
+    ("compression", 256, None),  # within 10% of the peak: sporadic kills
+    ("video-processing", 4096, None),  # bursts of 50 at 4 GB: 60% unavailable
+)
+_RELIABILITY_CASES = {
+    "aws": (
+        Provider.AWS,
+        True,
+        (
+            ("image-recognition", 256, None),  # beyond 1.5x: killed
+            ("compression", 168, None),  # around 1.5x: killed or tolerated
+            ("video-processing", 1024, 1.0),  # slower than its timeout
+        ),
+    ),
+    "gcp": (Provider.GCP, True, _GCP_FUNCTIONS),
+    "gcp-failures-off": (Provider.GCP, False, _GCP_FUNCTIONS),
+    "azure-dynamic": (
+        Provider.AZURE,
+        True,
+        tuple((benchmark, DYNAMIC_MEMORY, None) for benchmark, _, _ in _GCP_FUNCTIONS),
+    ),
+}
+
+
+def _reliability_run(case):
+    """Bursts, sequential calls and a replay of the case's functions."""
+    provider, enable_failures, functions = _RELIABILITY_CASES[case]
+    platform = create_platform(
+        provider, SimulationConfig(seed=2026, enable_failures=enable_failures)
+    )
+    fnames = tuple(
+        deploy_benchmark(
+            platform, benchmark, memory_mb=memory, timeout_s=timeout, function_name=f"fn-{i}"
+        )
+        for i, (benchmark, memory, timeout) in enumerate(functions)
+    )
+    records = []
+    for fname in fnames:
+        records.extend(platform.invoke(fname, {}) for _ in range(5))
+        records.extend(platform.invoke_batch(fname, 12))
+        records.extend(platform.invoke_batch(fname, 50))
+        platform.clock.advance(200.0)
+    trace = WorkloadTrace.merge(
+        *(
+            WorkloadTrace.synthesize(fname, PoissonArrivals(20.0), 20.0, rng=40 + i)
+            for i, fname in enumerate(fnames)
+        )
+    )
+    records.extend(platform.run_workload(trace).records)
+    return records, _platform_state_key(platform, fnames)
+
+
+class TestReliabilityBranches:
+    """The step's reliability check and timeout, branch by branch."""
+
+    @pytest.mark.parametrize("case", sorted(_RELIABILITY_CASES))
+    def test_invoke_and_replay(self, case):
+        outputs = []
+        for scalar in (True, False):
+            with scalar_reference(scalar):
+                outputs.append(_reliability_run(case))
+        (records_s, state_s), (records_c, state_c) = outputs
+        assert [_record_key(r) for r in records_s] == [_record_key(r) for r in records_c]
+        assert state_s == state_c
+
+        errors = {}
+        for record in records_c:
+            errors.setdefault(record.function_name, Counter())[record.error] += 1
+        if case == "aws":
+            assert set(errors["fn-0"]) == {"out-of-memory"}
+            assert set(errors["fn-1"]) == {None, "out-of-memory"}
+            assert set(errors["fn-2"]) == {"timeout"}
+        elif case == "gcp":
+            assert set(errors["fn-0"]) == {"out-of-memory"}
+            assert {None, "out-of-memory"} <= set(errors["fn-1"])
+            assert errors["fn-2"]["unavailable"] >= 20
+            assert "out-of-memory" not in errors["fn-2"]
+        elif case == "gcp-failures-off":
+            assert all(set(counts) == {None} for counts in errors.values())
+        else:
+            unavailable = sum(counts["unavailable"] for counts in errors.values())
+            assert unavailable > 0
+            assert all(set(counts) <= {None, "unavailable"} for counts in errors.values())
 
 
 class TestKernelReplay:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.concurrency import OverloadConfig
 from repro.config import (
     DYNAMIC_MEMORY,
     DEFAULT_REGIONS,
@@ -16,7 +17,6 @@ from repro.config import (
     config_to_dict,
     resolve_memory_sizes,
 )
-from repro.concurrency import OverloadConfig
 from repro.exceptions import ConfigurationError
 from repro.faults import ContainerCrash, FaultPlaneConfig, LatencyStorm, OutageWindow
 from repro.resilience import CircuitBreakerConfig, HedgeConfig, ResilienceConfig
@@ -134,7 +134,6 @@ class TestConfigToDict:
     def test_serialises_tuples(self):
         as_dict = config_to_dict(ExperimentConfig())
         assert as_dict["confidence_levels"] == [0.95, 0.99]
-
 
 
 NAN, INF = float("nan"), float("inf")

@@ -347,7 +347,6 @@ class TestTraceIngest:
         with pytest.raises(ConfigurationError, match="no data rows"):
             TraceIngest.load(no_rows)
 
-
     @staticmethod
     def _load_cell(tmp_path, cells):
         trace = tmp_path / "cell.csv"

@@ -1,27 +1,28 @@
 """Tests for the simulator building blocks: containers, eviction, compute, reliability.
 
-The compute and reliability behaviours are sampled per invocation by
-:func:`repro.columnar.engine.lane_step`; the unit tests here pin them on
-the frozen scalar reference in ``tests/oracle.py``, which the differential
-tier proves bit-identical to the step.
+The per-invocation compute and reliability behaviours are sampled by
+:func:`repro.columnar.engine.lane_step`, so their tests drive that step on
+a lane built for a function of a chosen work profile and memory size.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.benchmarks.base import WorkProfile
-from repro.config import DYNAMIC_MEMORY, Provider
+from repro.columnar.engine import build_lane, lane_record, lane_step
+from repro.config import DYNAMIC_MEMORY, Provider, SimulationConfig, StartType
 from repro.exceptions import PlatformError
+from repro.experiments.base import deploy_benchmark
 from repro.faas.limits import limits_for
 from repro.simulator.compute import ComputeModel
 from repro.simulator.containers import Container, ContainerPool, ContainerState
 from repro.simulator.eviction import AWS_EVICTION_PERIOD_S, HalfLifeEvictionPolicy, IdleTimeoutEvictionPolicy
 from repro.simulator.profiles import profile_for
-from repro.simulator.reliability import ReliabilityModel
-
-import oracle
+from repro.simulator.providers import create_platform
 
 
 def make_container(created_at=0.0, name="f", version=1, memory=128) -> Container:
@@ -157,6 +158,40 @@ PROFILE = WorkProfile(
     code_package_mb=10.0,
 )
 
+#: PROFILE without storage traffic: its benchmark time is pure compute.
+COMPUTE_PROFILE = replace(
+    PROFILE,
+    storage_read_bytes=0,
+    storage_write_bytes=0,
+    storage_read_requests=0,
+    storage_write_requests=0,
+)
+
+
+def _sampler(provider, profile, memory_mb, seed=0, enable_failures=True):
+    """Invocations of a function with work ``profile`` deployed at ``memory_mb``.
+
+    Returns ``sample(cold=False, concurrency=1)``, the record of one
+    :func:`lane_step` on the function's lane (SDK trigger, empty payload).
+    """
+    platform = create_platform(
+        provider, SimulationConfig(seed=seed, enable_failures=enable_failures)
+    )
+    fname = deploy_benchmark(platform, "dynamic-html", memory_mb=memory_mb, function_name="f")
+    function = platform.get_function(fname)
+    state = platform._runtime_state(fname)
+    # Seed the platform's profile cache, so the lane resolves ``profile``.
+    state.profile = profile
+    state.profile_key = (function.benchmark, state.input_size, state.language)
+    lane = build_lane(platform, function, state)
+
+    def sample(cold=False, concurrency=1):
+        start_type = StartType.COLD if cold else StartType.WARM
+        step = lane_step(lane, cold, concurrency, False, None, None)
+        return lane_record(lane, provider, start_type, False, step, "c-1", 0.0, 0)
+
+    return sample
+
 
 class TestComputeModel:
     def _model(self, provider=Provider.AWS, seed=0) -> ComputeModel:
@@ -169,11 +204,11 @@ class TestComputeModel:
         assert model.cpu_share(896) == pytest.approx(0.5)
 
     def test_compute_time_decreases_with_memory_until_plateau(self):
-        model = self._model()
-        t128 = np.median([oracle.compute_time(model, PROFILE, 128) for _ in range(50)])
-        t1024 = np.median([oracle.compute_time(model, PROFILE, 1024) for _ in range(50)])
-        t1792 = np.median([oracle.compute_time(model, PROFILE, 1792) for _ in range(50)])
-        t3008 = np.median([oracle.compute_time(model, PROFILE, 3008) for _ in range(50)])
+        def compute_time(memory_mb):
+            sample = _sampler(Provider.AWS, COMPUTE_PROFILE, memory_mb)
+            return np.median([sample().benchmark_time_s for _ in range(50)])
+
+        t128, t1024, t1792, t3008 = (compute_time(memory) for memory in (128, 1024, 1792, 3008))
         assert t128 > t1024 > t1792
         assert t3008 == pytest.approx(t1792, rel=0.2)
 
@@ -182,10 +217,10 @@ class TestComputeModel:
         assert model.effective_memory(DYNAMIC_MEMORY) == profile_for(Provider.AZURE).dynamic_memory_effective_mb
 
     def test_gcp_compute_slower_than_aws(self):
-        aws = self._model(Provider.AWS)
-        gcp = self._model(Provider.GCP)
-        aws_time = np.median([oracle.compute_time(aws, PROFILE, 2048) for _ in range(100)])
-        gcp_time = np.median([oracle.compute_time(gcp, PROFILE, 2048) for _ in range(100)])
+        aws = _sampler(Provider.AWS, COMPUTE_PROFILE, 2048)
+        gcp = _sampler(Provider.GCP, COMPUTE_PROFILE, 2048)
+        aws_time = np.median([aws().benchmark_time_s for _ in range(100)])
+        gcp_time = np.median([gcp().benchmark_time_s for _ in range(100)])
         assert gcp_time > aws_time
 
     def test_cold_init_includes_package_download(self):
@@ -208,79 +243,79 @@ class TestComputeModel:
         assert high > low
 
     def test_storage_time_scales_with_bytes_and_memory(self):
-        model = self._model()
-        big_profile = PROFILE.scaled(16.0)
-        small_time = np.median([oracle.storage_time(model, PROFILE, 1024) for _ in range(50)])
-        big_time = np.median([oracle.storage_time(model, big_profile, 1024) for _ in range(50)])
-        assert big_time > small_time
+        # No CPU work: the benchmark time is the storage time alone.
+        small = _sampler(Provider.AWS, replace(PROFILE, warm_compute_s=0.0), 1024)
+        big = _sampler(Provider.AWS, replace(PROFILE.scaled(16.0), warm_compute_s=0.0), 1024)
+        small_time = np.median([small().benchmark_time_s for _ in range(50)])
+        big_time = np.median([big().benchmark_time_s for _ in range(50)])
+        assert 0 < small_time < big_time
 
     def test_memory_used_close_to_profile_peak(self):
-        model = self._model()
-        samples = [oracle.memory_used(model, PROFILE) for _ in range(200)]
+        sample = _sampler(Provider.AWS, PROFILE, 1024)
+        samples = [sample().memory_used_mb for _ in range(200)]
         assert np.median(samples) == pytest.approx(100.0, rel=0.1)
 
     def test_execute_combines_components(self):
-        model = self._model()
-        sample = oracle.execute(model, PROFILE, 1024, cold=True, code_package_mb=10.0)
-        assert sample.benchmark_time_s == pytest.approx(sample.compute_time_s + sample.storage_time_s)
-        assert sample.cold_init_s > 0
-        warm = oracle.execute(model, PROFILE, 1024, cold=False, code_package_mb=10.0)
+        sample = _sampler(Provider.AWS, PROFILE, 1024)
+        cold = sample(cold=True)
+        assert cold.benchmark_time_s > 0
+        assert cold.provider_time_s > cold.benchmark_time_s
+        assert cold.cold_init_s > 0
+        # Sandbox initialisation delays the start, not the billed execution.
+        assert cold.invocation_overhead_s > cold.cold_init_s
+        assert cold.started_at - cold.submitted_at == cold.invocation_overhead_s
+        warm = sample(cold=False)
         assert warm.cold_init_s == 0.0
 
 
 class TestReliabilityModel:
-    def _model(self, provider, seed=0, enabled=True):
-        return ReliabilityModel(provider, np.random.default_rng(seed), enabled=enabled)
+    @staticmethod
+    def _failures(sample, count, concurrency=1):
+        return sum(not sample(concurrency=concurrency).success for _ in range(count))
 
     def test_disabled_model_never_fails(self):
-        model = self._model(Provider.GCP, enabled=False)
-        decision = oracle.check(model, PROFILE, memory_mb=64, memory_used_mb=1000.0, concurrency=100)
-        assert not decision.failed
+        # Far above its 128 MB and in a burst of 100: no failure without the switch.
+        sample = _sampler(
+            Provider.GCP, replace(PROFILE, peak_memory_mb=1000.0), 128, enable_failures=False
+        )
+        assert self._failures(sample, 50, concurrency=100) == 0
 
     def test_gcp_kills_overcommitted_memory(self):
-        model = self._model(Provider.GCP)
-        decision = oracle.check(model, PROFILE, memory_mb=64, memory_used_mb=100.0)
-        assert decision.failed and decision.reason == "out-of-memory"
+        sample = _sampler(Provider.GCP, replace(PROFILE, peak_memory_mb=200.0), 128)
+        records = [sample() for _ in range(20)]
+        assert all(record.error == "out-of-memory" for record in records)
+        assert all(record.benchmark_time_s == 0.0 for record in records)
 
     def test_gcp_sporadic_failures_near_the_limit(self):
         """Compression-at-256MB-style failures: a few percent, not all."""
-        model = self._model(Provider.GCP)
-        profile = WorkProfile(0.1, 0.1, 1e8, 0.9, peak_memory_mb=250.0)
-        failures = sum(
-            oracle.check(model, profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(1000)
-        )
-        assert 10 <= failures <= 120
+        # The peak sits within 10% of the allocation, and its noisy samples
+        # stay below it (256 MB is > 3 sigma above 234 MB).
+        profile = WorkProfile(0.1, 0.1, 1e8, 0.9, peak_memory_mb=234.0)
+        sample = _sampler(Provider.GCP, profile, 256)
+        assert 10 <= self._failures(sample, 1000) <= 120
 
     def test_aws_tolerates_borderline_memory(self):
-        model = self._model(Provider.AWS)
         profile = WorkProfile(0.1, 0.1, 1e8, 0.9, peak_memory_mb=250.0)
-        failures = sum(
-            oracle.check(model, profile, memory_mb=256, memory_used_mb=250.0).failed for _ in range(500)
-        )
-        assert failures == 0
+        sample = _sampler(Provider.AWS, profile, 256)
+        assert self._failures(sample, 500) == 0
 
     def test_aws_kills_only_egregious_overcommit(self):
-        model = self._model(Provider.AWS)
-        assert oracle.check(model, PROFILE, memory_mb=128, memory_used_mb=500.0).failed
-        assert not oracle.check(model, PROFILE, memory_mb=128, memory_used_mb=150.0).failed
+        # Beyond 1.5x the allocation (192 MB of 128 MB) AWS kills, below it tolerates.
+        egregious = _sampler(Provider.AWS, replace(PROFILE, peak_memory_mb=500.0), 128)
+        assert self._failures(egregious, 20) == 20
+        tolerated = _sampler(Provider.AWS, replace(PROFILE, peak_memory_mb=150.0), 128)
+        assert self._failures(tolerated, 200) == 0
 
     def test_gcp_highmem_burst_availability_failures(self):
         """image-recognition at 4096 MB with 50 concurrent calls: massive error rate."""
-        model = self._model(Provider.GCP)
-        failures = sum(
-            oracle.check(model, PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=50).failed
-            for _ in range(500)
-        )
-        assert failures > 200
+        sample = _sampler(Provider.GCP, PROFILE, 4096)
+        records = [sample(concurrency=50) for _ in range(500)]
+        assert sum(record.error == "unavailable" for record in records) > 200
 
     def test_sequential_invocations_never_hit_burst_failures(self):
-        model = self._model(Provider.GCP)
-        failures = sum(
-            oracle.check(model, PROFILE, memory_mb=4096, memory_used_mb=400.0, concurrency=1).failed
-            for _ in range(200)
-        )
-        assert failures == 0
+        sample = _sampler(Provider.GCP, PROFILE, 4096)
+        assert self._failures(sample, 200) == 0
 
     def test_azure_dynamic_memory_never_oom(self):
-        model = self._model(Provider.AZURE)
-        assert not oracle.check(model, PROFILE, memory_mb=DYNAMIC_MEMORY, memory_used_mb=5000.0).failed
+        sample = _sampler(Provider.AZURE, replace(PROFILE, peak_memory_mb=5000.0), DYNAMIC_MEMORY)
+        assert self._failures(sample, 50) == 0
